@@ -82,10 +82,11 @@ fuzz:
 
 # Checkpoint/restore equivalence: the simulation-after-import harness (all
 # golden topologies, serial and sharded), the cross-worker restore matrix,
-# byte-exact snapshot round-trips, and the randomized checkpoint sweep — under
+# byte-exact snapshot round-trips, the committed snapshot digests, and the
+# randomized checkpoint sweep — under
 # the race detector, since restore re-partitions across shards.
 test-import-export:
-	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestSnapshotRoundTrip|TestRandomizedCheckpointRestore' ./internal/core
+	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
 ci: build vet lint test race test-import-export bench-guard sweep-smoke

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"supersim/internal/config"
@@ -198,4 +202,51 @@ func FuzzRestore(f *testing.F) {
 			t.Fatal("Restore returned nil simulation with nil error")
 		}
 	})
+}
+
+// pinTick is the checkpoint whose bytes TestSnapshotBytesPinned pins: inside
+// every golden run's sampling window, so each layer holds traffic.
+const pinTick = 1000
+
+// snapshotDigestsPath is the committed sha256 of every golden case's
+// pinTick snapshot, one "<hex digest>  <case name>" line per case.
+var snapshotDigestsPath = filepath.Join("testdata", "golden", "snapshot_digests.txt")
+
+// TestSnapshotBytesPinned pins the checkpoint format across code changes:
+// the serial snapshot each golden case takes at pinTick must hash to the
+// committed digest. The round-trip tests only prove a build agrees with
+// itself; this one fails when a codec reorders, adds or drops bytes.
+// Regenerate after an intentional format change with
+//
+//	SUPERSIM_UPDATE_GOLDEN=1 go test ./internal/core -run TestSnapshotBytesPinned
+func TestSnapshotBytesPinned(t *testing.T) {
+	var got strings.Builder
+	for _, gc := range goldenCases() {
+		_, snaps := runCheckpointed(t, gc, 1)
+		var data []byte
+		for _, s := range snaps {
+			if s.tick == pinTick {
+				data = s.data
+			}
+		}
+		if data == nil {
+			t.Fatalf("%s: no snapshot at tick %d", gc.name, pinTick)
+		}
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(data), gc.name)
+	}
+	if os.Getenv(updateEnv) != "" {
+		if err := os.WriteFile(snapshotDigestsPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", snapshotDigestsPath)
+		return
+	}
+	want, err := os.ReadFile(snapshotDigestsPath)
+	if err != nil {
+		t.Fatalf("missing digests (run with %s=1 to create): %v", updateEnv, err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("snapshot bytes drifted from %s\ngot:\n%s\nwant:\n%s\nIf the format change is intentional, regenerate with %s=1.",
+			snapshotDigestsPath, got.String(), want, updateEnv)
+	}
 }

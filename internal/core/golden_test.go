@@ -168,6 +168,49 @@ func goldenCases() []goldenCase {
 			  `+fmt.Sprintf(iqRouter, 2)+`
 			}`, `{"type": "hotspot", "destination": 0, "fraction": 0.5}`, 0.1),
 		},
+		{
+			name: "hyperx_ugal_ioq", topo: "hyperx",
+			traffic: `{"type": "uniform_random"}`,
+			doc: goldenDoc(`{
+			  "topology": "hyperx",
+			  "widths": [4],
+			  "concentration": 2,
+			  "channel": {"latency": 4, "period": 2},
+			  "injection": {"latency": 2},
+			  "router": {
+			    "architecture": "input_output_queued",
+			    "num_vcs": 2,
+			    "input_buffer_depth": 8,
+			    "crossbar_latency": 2,
+			    "speedup": 2,
+			    "output_queue_depth": 4,
+			    "flow_control": "winner_take_all",
+			    "vc_policy": "age_based",
+			    "congestion_sensor": {"granularity": "port", "source": "both"}
+			  },
+			  "routing": {"algorithm": "ugal"}
+			}`, `{"type": "uniform_random"}`, 0.3),
+		},
+		{
+			name: "folded_clos_adaptive_oq", topo: "folded_clos",
+			traffic: `{"type": "uniform_random"}`,
+			doc: goldenDoc(`{
+			  "topology": "folded_clos",
+			  "half_radix": 2,
+			  "levels": 3,
+			  "channel": {"latency": 4, "period": 2},
+			  "injection": {"latency": 2},
+			  "router": {
+			    "architecture": "output_queued",
+			    "num_vcs": 2,
+			    "input_buffer_depth": 8,
+			    "queue_latency": 3,
+			    "output_queue_depth": 4,
+			    "congestion_sensor": {"latency": 6}
+			  },
+			  "routing": {"algorithm": "adaptive_uprouting"}
+			}`, `{"type": "uniform_random"}`, 0.25),
+		},
 	}
 	return cases
 }

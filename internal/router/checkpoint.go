@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math"
+
 	"supersim/internal/congestion"
 	"supersim/internal/routing"
 	"supersim/internal/sim"
@@ -74,7 +76,7 @@ func (dl *delayLine) saveState(e *snapshot.Encoder, t *types.MessageTable) {
 	}
 }
 
-func (dl *delayLine) loadState(d *snapshot.Decoder, t *types.MessageTable) error {
+func (dl *delayLine) loadState(d *snapshot.Decoder, t *types.MessageTable, ports int) error {
 	dl.scheduled = d.Bool()
 	n := d.Count()
 	if d.Err() != nil {
@@ -84,7 +86,7 @@ func (dl *delayLine) loadState(d *snapshot.Decoder, t *types.MessageTable) error
 	dl.head = 0
 	for i := 0; i < n; i++ {
 		at := sim.Tick(d.U64())
-		port := d.Int()
+		port := loadIndex(d, 0, ports, "delay line port")
 		f, err := t.DecodeFlit(d)
 		if err != nil {
 			return err
@@ -97,6 +99,16 @@ func (dl *delayLine) loadState(d *snapshot.Decoder, t *types.MessageTable) error
 	return d.Err()
 }
 
+// loadIndex decodes an index, failing the decoder unless lo <= v < hi: a
+// restored index is later used unchecked to address router state.
+func loadIndex(d *snapshot.Decoder, lo, hi int, what string) int {
+	v := d.Int()
+	if v < lo || v >= hi {
+		d.Failf("%s %d out of range [%d, %d)", what, v, lo, hi)
+	}
+	return v
+}
+
 func saveResponse(e *snapshot.Encoder, r routing.Response) {
 	e.Int(r.Port)
 	e.Int(len(r.VCs))
@@ -105,8 +117,8 @@ func saveResponse(e *snapshot.Encoder, r routing.Response) {
 	}
 }
 
-func loadResponse(d *snapshot.Decoder) (routing.Response, error) {
-	r := routing.Response{Port: d.Int()}
+func loadResponse(d *snapshot.Decoder, ports, vcs int) (routing.Response, error) {
+	r := routing.Response{Port: loadIndex(d, 0, ports, "routing response port")}
 	n := d.Count()
 	if d.Err() != nil {
 		return r, d.Err()
@@ -114,7 +126,7 @@ func loadResponse(d *snapshot.Decoder) (routing.Response, error) {
 	if n > 0 {
 		r.VCs = make([]int, n)
 		for i := range r.VCs {
-			r.VCs[i] = d.Int()
+			r.VCs[i] = loadIndex(d, 0, vcs, "routing response VC")
 		}
 	}
 	return r, d.Err()
@@ -129,17 +141,19 @@ func (x *xbarSched) saveState(e *snapshot.Encoder) {
 	e.Int(x.locked)
 }
 
-func (x *xbarSched) loadState(d *snapshot.Decoder) error {
+// loadState restores the scheduler of a router with the given number of
+// input clients.
+func (x *xbarSched) loadState(d *snapshot.Decoder, clients int) error {
 	n := d.Count()
 	if d.Err() != nil {
 		return d.Err()
 	}
 	x.contenders = x.contenders[:0]
 	for i := 0; i < n; i++ {
-		x.contenders = append(x.contenders, d.Int())
+		x.contenders = append(x.contenders, loadIndex(d, 0, clients, "crossbar contender"))
 	}
-	x.lastGrant = d.Int()
-	x.locked = d.Int()
+	x.lastGrant = loadIndex(d, -1, clients, "crossbar last grant")
+	x.locked = loadIndex(d, -1, clients, "crossbar lock holder")
 	return d.Err()
 }
 
@@ -190,7 +204,7 @@ func (b *base) loadState(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
-func saveInputVC(e *snapshot.Encoder, t *types.MessageTable, iv *inputVC) {
+func (iv *inputVC) saveState(e *snapshot.Encoder, t *types.MessageTable) {
 	iv.q.saveState(e, t)
 	e.Int(iv.routeState)
 	saveResponse(e, iv.resp)
@@ -198,18 +212,18 @@ func saveInputVC(e *snapshot.Encoder, t *types.MessageTable, iv *inputVC) {
 	e.Int(iv.outVC)
 }
 
-func loadInputVC(d *snapshot.Decoder, t *types.MessageTable, iv *inputVC) error {
+func (iv *inputVC) loadState(d *snapshot.Decoder, t *types.MessageTable, ports, vcs int) error {
 	if err := iv.q.loadState(d, t); err != nil {
 		return err
 	}
-	iv.routeState = d.Int()
-	resp, err := loadResponse(d)
+	iv.routeState = loadIndex(d, rsIdle, rsDone+1, "route state")
+	resp, err := loadResponse(d, ports, vcs)
 	if err != nil {
 		return err
 	}
 	iv.resp = resp
-	iv.outPort = d.Int()
-	iv.outVC = d.Int()
+	iv.outPort = loadIndex(d, -1, ports, "allocated output port")
+	iv.outVC = loadIndex(d, -1, vcs, "allocated output VC")
 	iv.granted = false
 	return d.Err()
 }
@@ -221,7 +235,9 @@ func saveIntSlice(e *snapshot.Encoder, s []int) {
 	}
 }
 
-func loadIntSliceInto(d *snapshot.Decoder, s []int, what string) error {
+// loadIntSliceInto fills s, whose length the build fixes, with values in
+// [lo, hi).
+func loadIntSliceInto(d *snapshot.Decoder, s []int, lo, hi int, what string) error {
 	n := d.Count()
 	if d.Err() != nil {
 		return d.Err()
@@ -230,35 +246,120 @@ func loadIntSliceInto(d *snapshot.Decoder, s []int, what string) error {
 		return d.Failf("%s has %d entries, snapshot says %d", what, len(s), n)
 	}
 	for i := 0; i < n; i++ {
-		s[i] = d.Int()
+		s[i] = loadIndex(d, lo, hi, what)
 	}
 	return d.Err()
 }
 
-// Collect implements Stater for the IQ architecture.
-func (r *IQ) Collect(t *types.MessageTable) {
-	for i := range r.in {
-		r.in[i].q.collect(t)
+func (s *inputStage) collect(t *types.MessageTable) {
+	for i := range s.in {
+		s.in[i].q.collect(t)
 	}
-	r.dl.collect(t)
+	s.dl.collect(t)
 }
+
+// saveState serializes the input stage. The holders go out one slice per
+// output port.
+func (s *inputStage) saveState(e *snapshot.Encoder, t *types.MessageTable) {
+	s.xbar.SaveState(e)
+	s.dl.saveState(e, t)
+	for i := range s.in {
+		s.in[i].saveState(e, t)
+	}
+	for port := 0; port < s.radix; port++ {
+		saveIntSlice(e, s.holder[s.client(port, 0):s.client(port+1, 0)])
+	}
+	saveIntSlice(e, s.vcPending)
+	e.Int(s.vcRotate)
+	for _, sc := range s.sched {
+		sc.saveState(e)
+	}
+}
+
+func (s *inputStage) loadState(d *snapshot.Decoder, t *types.MessageTable) error {
+	if err := s.xbar.LoadState(d); err != nil {
+		return err
+	}
+	if err := s.dl.loadState(d, t, s.radix); err != nil {
+		return err
+	}
+	for i := range s.in {
+		if err := s.in[i].loadState(d, t, s.radix, s.vcs); err != nil {
+			return err
+		}
+	}
+	clients := len(s.in)
+	for port := 0; port < s.radix; port++ {
+		if err := loadIntSliceInto(d, s.holder[s.client(port, 0):s.client(port+1, 0)], -1, clients, "output VC holder"); err != nil {
+			return err
+		}
+	}
+	n := d.Count()
+	if d.Err() != nil {
+		return d.Err()
+	}
+	s.vcPending = s.vcPending[:0]
+	for i := 0; i < n; i++ {
+		s.vcPending = append(s.vcPending, loadIndex(d, 0, clients, "VC allocation request"))
+	}
+	s.vcRotate = d.Int()
+	for _, sc := range s.sched {
+		if err := sc.loadState(d, clients); err != nil {
+			return err
+		}
+	}
+	return d.Err()
+}
+
+func (o *outputStage) collect(t *types.MessageTable) {
+	for i := range o.outQ {
+		o.outQ[i].collect(t)
+	}
+}
+
+// saveState serializes the output stage; the packet owners, when the
+// architecture has them, go between the occupancies and the drain flags.
+func (o *outputStage) saveState(e *snapshot.Encoder, t *types.MessageTable) {
+	for i := range o.outQ {
+		o.outQ[i].saveState(e, t)
+	}
+	saveIntSlice(e, o.outOcc)
+	if o.outOwner != nil {
+		saveIntSlice(e, o.outOwner)
+	}
+	for _, b := range o.outBusy {
+		e.Bool(b)
+	}
+	saveIntSlice(e, o.outRR)
+}
+
+func (o *outputStage) loadState(d *snapshot.Decoder, t *types.MessageTable) error {
+	for i := range o.outQ {
+		if err := o.outQ[i].loadState(d, t); err != nil {
+			return err
+		}
+	}
+	if err := loadIntSliceInto(d, o.outOcc, 0, math.MaxInt, "output occupancy"); err != nil {
+		return err
+	}
+	if o.outOwner != nil {
+		if err := loadIntSliceInto(d, o.outOwner, -1, len(o.outOwner), "output owner"); err != nil {
+			return err
+		}
+	}
+	for i := range o.outBusy {
+		o.outBusy[i] = d.Bool()
+	}
+	return loadIntSliceInto(d, o.outRR, 0, o.vcs, "output round robin")
+}
+
+// Collect implements Stater for the IQ architecture.
+func (r *IQ) Collect(t *types.MessageTable) { r.inputStage.collect(t) }
 
 // SaveState implements Stater for the IQ architecture.
 func (r *IQ) SaveState(e *snapshot.Encoder, t *types.MessageTable) {
 	r.base.saveState(e)
-	r.xbar.SaveState(e)
-	r.dl.saveState(e, t)
-	for i := range r.in {
-		saveInputVC(e, t, &r.in[i])
-	}
-	for port := range r.holder {
-		saveIntSlice(e, r.holder[port])
-	}
-	saveIntSlice(e, r.vcPending)
-	e.Int(r.vcRotate)
-	for _, sc := range r.sched {
-		sc.saveState(e)
-	}
+	r.inputStage.saveState(e, t)
 	e.Int(len(r.nextChanStart))
 	for _, tk := range r.nextChanStart {
 		e.U64(uint64(tk))
@@ -270,35 +371,8 @@ func (r *IQ) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
 	if err := r.base.loadState(d); err != nil {
 		return err
 	}
-	if err := r.xbar.LoadState(d); err != nil {
+	if err := r.inputStage.loadState(d, t); err != nil {
 		return err
-	}
-	if err := r.dl.loadState(d, t); err != nil {
-		return err
-	}
-	for i := range r.in {
-		if err := loadInputVC(d, t, &r.in[i]); err != nil {
-			return err
-		}
-	}
-	for port := range r.holder {
-		if err := loadIntSliceInto(d, r.holder[port], "output VC holder"); err != nil {
-			return err
-		}
-	}
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	r.vcPending = r.vcPending[:0]
-	for i := 0; i < n; i++ {
-		r.vcPending = append(r.vcPending, d.Int())
-	}
-	r.vcRotate = d.Int()
-	for _, sc := range r.sched {
-		if err := sc.loadState(d); err != nil {
-			return err
-		}
 	}
 	cs := d.Count()
 	if d.Err() != nil {
@@ -313,37 +387,53 @@ func (r *IQ) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
 	return d.Err()
 }
 
+// Collect implements Stater for the IOQ architecture.
+func (r *IOQ) Collect(t *types.MessageTable) {
+	r.inputStage.collect(t)
+	r.outputStage.collect(t)
+}
+
+// SaveState implements Stater for the IOQ architecture.
+func (r *IOQ) SaveState(e *snapshot.Encoder, t *types.MessageTable) {
+	r.base.saveState(e)
+	r.inputStage.saveState(e, t)
+	r.outputStage.saveState(e, t)
+}
+
+// LoadState implements Stater for the IOQ architecture.
+func (r *IOQ) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
+	if err := r.base.loadState(d); err != nil {
+		return err
+	}
+	if err := r.inputStage.loadState(d, t); err != nil {
+		return err
+	}
+	return r.outputStage.loadState(d, t)
+}
+
 // Collect implements Stater for the OQ architecture.
 func (r *OQ) Collect(t *types.MessageTable) {
 	for i := range r.in {
 		r.in[i].q.collect(t)
 	}
-	for i := range r.outQ {
-		r.outQ[i].collect(t)
-	}
+	r.outputStage.collect(t)
 	r.dl.collect(t)
 }
 
-// SaveState implements Stater for the OQ architecture.
+// SaveState implements Stater for the OQ architecture. Its input VCs carry
+// only a routed flag and the output VC: routing is synchronous and outPort
+// unused.
 func (r *OQ) SaveState(e *snapshot.Encoder, t *types.MessageTable) {
 	r.base.saveState(e)
 	r.dl.saveState(e, t)
 	for i := range r.in {
 		iv := &r.in[i]
 		iv.q.saveState(e, t)
-		e.Bool(iv.routed)
+		e.Bool(iv.routeState == rsDone)
 		saveResponse(e, iv.resp)
 		e.Int(iv.outVC)
 	}
-	for i := range r.outQ {
-		r.outQ[i].saveState(e, t)
-	}
-	saveIntSlice(e, r.outOcc)
-	saveIntSlice(e, r.outOwner)
-	for _, b := range r.outBusy {
-		e.Bool(b)
-	}
-	saveIntSlice(e, r.outRR)
+	r.outputStage.saveState(e, t)
 	for _, tk := range r.transfer {
 		e.U64(uint64(tk))
 	}
@@ -354,7 +444,7 @@ func (r *OQ) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
 	if err := r.base.loadState(d); err != nil {
 		return err
 	}
-	if err := r.dl.loadState(d, t); err != nil {
+	if err := r.dl.loadState(d, t, r.radix); err != nil {
 		return err
 	}
 	for i := range r.in {
@@ -362,119 +452,22 @@ func (r *OQ) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
 		if err := iv.q.loadState(d, t); err != nil {
 			return err
 		}
-		iv.routed = d.Bool()
-		resp, err := loadResponse(d)
+		iv.routeState = rsIdle
+		if d.Bool() {
+			iv.routeState = rsDone
+		}
+		resp, err := loadResponse(d, r.radix, r.vcs)
 		if err != nil {
 			return err
 		}
 		iv.resp = resp
-		iv.outVC = d.Int()
+		iv.outVC = loadIndex(d, -1, r.vcs, "output VC")
 	}
-	for i := range r.outQ {
-		if err := r.outQ[i].loadState(d, t); err != nil {
-			return err
-		}
-	}
-	if err := loadIntSliceInto(d, r.outOcc, "output occupancy"); err != nil {
-		return err
-	}
-	if err := loadIntSliceInto(d, r.outOwner, "output owner"); err != nil {
-		return err
-	}
-	for i := range r.outBusy {
-		r.outBusy[i] = d.Bool()
-	}
-	if err := loadIntSliceInto(d, r.outRR, "output round robin"); err != nil {
+	if err := r.outputStage.loadState(d, t); err != nil {
 		return err
 	}
 	for i := range r.transfer {
 		r.transfer[i] = sim.Tick(d.U64())
 	}
 	return d.Err()
-}
-
-// Collect implements Stater for the IOQ architecture.
-func (r *IOQ) Collect(t *types.MessageTable) {
-	for i := range r.in {
-		r.in[i].q.collect(t)
-	}
-	for i := range r.outQ {
-		r.outQ[i].collect(t)
-	}
-	r.dl.collect(t)
-}
-
-// SaveState implements Stater for the IOQ architecture.
-func (r *IOQ) SaveState(e *snapshot.Encoder, t *types.MessageTable) {
-	r.base.saveState(e)
-	r.xbar.SaveState(e)
-	r.dl.saveState(e, t)
-	for i := range r.in {
-		saveInputVC(e, t, &r.in[i])
-	}
-	for port := range r.holder {
-		saveIntSlice(e, r.holder[port])
-	}
-	saveIntSlice(e, r.vcPending)
-	e.Int(r.vcRotate)
-	for _, sc := range r.sched {
-		sc.saveState(e)
-	}
-	for i := range r.outQ {
-		r.outQ[i].saveState(e, t)
-	}
-	saveIntSlice(e, r.outOcc)
-	for _, b := range r.outBusy {
-		e.Bool(b)
-	}
-	saveIntSlice(e, r.outRR)
-}
-
-// LoadState implements Stater for the IOQ architecture.
-func (r *IOQ) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
-	if err := r.base.loadState(d); err != nil {
-		return err
-	}
-	if err := r.xbar.LoadState(d); err != nil {
-		return err
-	}
-	if err := r.dl.loadState(d, t); err != nil {
-		return err
-	}
-	for i := range r.in {
-		if err := loadInputVC(d, t, &r.in[i]); err != nil {
-			return err
-		}
-	}
-	for port := range r.holder {
-		if err := loadIntSliceInto(d, r.holder[port], "output VC holder"); err != nil {
-			return err
-		}
-	}
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	r.vcPending = r.vcPending[:0]
-	for i := 0; i < n; i++ {
-		r.vcPending = append(r.vcPending, d.Int())
-	}
-	r.vcRotate = d.Int()
-	for _, sc := range r.sched {
-		if err := sc.loadState(d); err != nil {
-			return err
-		}
-	}
-	for i := range r.outQ {
-		if err := r.outQ[i].loadState(d, t); err != nil {
-			return err
-		}
-	}
-	if err := loadIntSliceInto(d, r.outOcc, "output occupancy"); err != nil {
-		return err
-	}
-	for i := range r.outBusy {
-		r.outBusy[i] = d.Bool()
-	}
-	return loadIntSliceInto(d, r.outRR, "output round robin")
 }

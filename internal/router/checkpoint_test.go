@@ -132,3 +132,54 @@ func TestRouterLoadRejectsMismatchedBuild(t *testing.T) {
 		t.Fatalf("sensor mismatch: err = %v", err)
 	}
 }
+
+// TestRouterLoadRejectsOutOfRangeIndices corrupts one index-valued field of
+// a saved stalled router at a time and requires the restore to fail: every
+// one of these would otherwise load cleanly and panic with an index out of
+// range on the restored router's next pipeline cycle.
+func TestRouterLoadRejectsOutOfRangeIndices(t *testing.T) {
+	iq := func(fn func(r *IQ)) func(Stater) { return func(s Stater) { fn(s.(*IQ)) } }
+	ioq := func(fn func(r *IOQ)) func(Stater) { return func(s Stater) { fn(s.(*IOQ)) } }
+	oq := func(fn func(r *OQ)) func(Stater) { return func(s Stater) { fn(s.(*OQ)) } }
+	cases := []struct {
+		name    string
+		doc     string
+		vcs     int
+		corrupt func(Stater)
+	}{
+		{"vcPending", ioqCheckpointDoc, 2, ioq(func(r *IOQ) { r.vcPending = append(r.vcPending, 9999) })},
+		{"vcPending negative", iqDoc, 2, iq(func(r *IQ) { r.vcPending = append(r.vcPending, -1) })},
+		{"holder", ioqCheckpointDoc, 2, ioq(func(r *IOQ) { r.holder[0] = 12345 })},
+		{"holder below free", iqDoc, 2, iq(func(r *IQ) { r.holder[1] = -2 })},
+		{"outOwner", oqCheckpointDoc, 1, oq(func(r *OQ) { r.outOwner[0] = 42 })},
+		{"xbarSched contender", iqDoc, 2, iq(func(r *IQ) { r.sched[1].contenders[0] = 77 })},
+		{"xbarSched locked", iqDoc, 2, iq(func(r *IQ) { r.sched[1].locked = 50 })},
+		{"xbarSched lastGrant", ioqCheckpointDoc, 2, ioq(func(r *IOQ) { r.sched[1].lastGrant = -7 })},
+		{"routeState", iqDoc, 2, iq(func(r *IQ) { r.in[1].routeState = 9 })},
+		{"outPort", iqDoc, 2, iq(func(r *IQ) { r.in[1].outPort = 5 })},
+		{"outVC", iqDoc, 2, iq(func(r *IQ) { r.in[1].outVC = 3 })},
+		{"OQ outVC", oqCheckpointDoc, 1, oq(func(r *OQ) { r.in[0].outVC = 3 })},
+		{"delay line port", iqDoc, 2, iq(func(r *IQ) {
+			r.dl.q = append(r.dl.q, flight{at: 100, f: r.in[1].q.peek(), port: 99})
+		})},
+		{"response port", iqDoc, 2, iq(func(r *IQ) { r.in[1].resp.Port = 7 })},
+		{"response VC", iqDoc, 2, iq(func(r *IQ) { r.in[1].resp.VCs = []int{0, 4} })},
+		{"OQ response port", oqCheckpointDoc, 1, oq(func(r *OQ) { r.in[0].resp.Port = -3 })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := stalledRouter(t, tc.doc, tc.vcs)
+			tc.corrupt(r)
+			tabData, data := saveRouter(t, r)
+			rtab, err := types.LoadMessageTable(snapshot.NewDecoder(tabData), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, fresh, _, _ := buildLoneRouter(t, tc.doc, tc.vcs, 1)
+			err = fresh.(Stater).LoadState(snapshot.NewDecoder(data), rtab)
+			if err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("corrupted %s: err = %v, want an out-of-range error", tc.name, err)
+			}
+		})
+	}
+}

@@ -25,9 +25,11 @@ const (
 
 // base holds the plumbing common to all router architectures: ports,
 // virtual channels, clocks, downstream credit counters, the congestion
-// sensor, and per-input-port routing engines.
+// sensor, and per-input-port routing engines, plus the flit admission,
+// pipeline scheduling and delay-line mechanics the stages share.
 type base struct {
 	sim.ComponentBase
+	self  sim.Handler // the architecture embedding this base; its events' handler
 	id    int
 	radix int
 	vcs   int
@@ -64,7 +66,7 @@ type base struct {
 	flitsRouted uint64
 }
 
-func newBase(s *sim.Simulator, name string, cfg *config.Settings, p Params) base {
+func newBase(self sim.Handler, s *sim.Simulator, name string, cfg *config.Settings, p Params) base {
 	if p.Radix <= 0 {
 		panic("router: radix must be positive")
 	}
@@ -85,6 +87,7 @@ func newBase(s *sim.Simulator, name string, cfg *config.Settings, p Params) base
 	}
 	b := base{
 		ComponentBase: sim.NewComponentBase(s, name),
+		self:          self,
 		id:            p.ID,
 		radix:         p.Radix,
 		vcs:           vcs,
@@ -176,6 +179,84 @@ func (b *base) SetDownstreamCredits(port int, perVC int) {
 func (b *base) checkPort(port int) {
 	if port < 0 || port >= b.radix {
 		b.Panicf("port %d out of range (radix %d)", port, b.radix)
+	}
+}
+
+// Per-(port, VC) state — input VCs, output VCs, output queues — is indexed
+// by client number port*vcs+vc.
+func (b *base) client(port, vc int) int   { return port*b.vcs + vc }
+func (b *base) clientPort(client int) int { return client / b.vcs }
+func (b *base) clientVC(client int) int   { return client % b.vcs }
+
+// edgeAfter returns the first edge of clk at epsilon eps that lies after
+// the current time.
+func (b *base) edgeAfter(clk *sim.Clock, eps sim.Epsilon) sim.Time {
+	now := b.Sim().Now()
+	t := sim.Time{Tick: clk.NextEdge(now.Tick), Eps: eps}
+	if !now.Before(t) {
+		t = sim.Time{Tick: clk.NextEdge(now.Tick + 1), Eps: eps}
+	}
+	return t
+}
+
+// schedulePipeline arms the router's pipeline for its next core cycle.
+func (b *base) schedulePipeline() {
+	if !b.pipelineScheduled {
+		b.pipelineScheduled = true
+		b.Sim().Schedule(b.self, b.edgeAfter(b.coreClock, 1), evPipeline, nil)
+	}
+}
+
+// admit runs the ReceiveFlit checks common to every architecture, buffers
+// the flit in its input VC and returns that VC's client index.
+func (b *base) admit(in []inputVC, port int, f *types.Flit) int {
+	b.checkPort(port)
+	if f.VC < 0 || f.VC >= b.vcs {
+		b.Panicf("%v arrived on unregistered VC", f)
+	}
+	client := b.client(port, f.VC)
+	if in[client].q.len() >= b.bufDepth {
+		b.Panicf("input buffer overrun on port %d vc %d", port, f.VC)
+	}
+	in[client].q.push(f)
+	b.noteArrival(port, f.VC)
+	return client
+}
+
+// pushFlight enqueues a traversal on a delay line, arming its event.
+func (b *base) pushFlight(dl *delayLine, at sim.Tick, f *types.Flit, port int) {
+	dl.push(at, f, port)
+	if !dl.scheduled {
+		dl.scheduled = true
+		b.Sim().Schedule(b.self, sim.Time{Tick: at}, dl.tag, nil)
+	}
+}
+
+// drainFlights delivers every traversal on dl completing now: into the
+// line's output queues when it has them, otherwise onto the output channel.
+func (b *base) drainFlights(dl *delayLine) {
+	now := b.Sim().Now().Tick
+	for {
+		at, ok := dl.next()
+		if !ok {
+			dl.scheduled = false
+			return
+		}
+		if at > now {
+			b.Sim().Schedule(b.self, sim.Time{Tick: at}, dl.tag, nil)
+			return
+		}
+		fl := dl.pop()
+		if b.sp != nil && b.sp.Tracked(fl.f) {
+			// The traversal ends at output-queue or channel entry.
+			b.sp.Step(b.Sim(), now, fl.f, telemetry.SpanXbar)
+		}
+		if dl.out == nil {
+			b.outCh[fl.port].Inject(fl.f)
+			continue
+		}
+		dl.out.outQ[b.client(fl.port, fl.f.VC)].push(fl.f)
+		dl.out.scheduleOutput(fl.port)
 	}
 }
 
@@ -307,88 +388,11 @@ func (b *base) verifyIdleCredits() {
 	}
 }
 
-// allocateVCs performs one cycle of output VC allocation shared by the IQ
-// and IOQ architectures. Pending clients (input VCs whose head packet has a
-// routing response) try to take a free output VC from their response's
-// registered set. Contention is resolved either by a rotating start offset
-// (round robin) or by packet age (oldest first). It returns the clients
-// still pending and whether any grant was made.
-//
-// scratch is caller-owned ordering storage with capacity for at least
-// len(pending) entries (routers size it to their input VC count once); grant
-// marks ride in the inputVC structs. The allocator itself never allocates —
-// it runs every core cycle on every router.
-// s, now and sp drive span recording: a grant whose head flit is tracked by
-// the span recorder closes that flit's vc_alloc segment, routed to s's shard
-// lane under a parallel engine. sp is nil when span recording is disabled
-// (then s may be nil too).
-//
-//sslint:hotpath
-func allocateVCs(s *sim.Simulator, now sim.Tick, sp *telemetry.Spans, pending, scratch []int, rotate int, ageOrder bool,
-	in []inputVC, holder [][]int, sched []*xbarSched) ([]int, bool) {
-	n := len(pending)
-	if n == 0 {
-		return pending, false
-	}
-	order := scratch[:n]
-	if ageOrder {
-		copy(order, pending)
-		// Insertion sort by age: pending lists are short.
-		for i := 1; i < n; i++ {
-			c := order[i]
-			a := in[c].q.peek().Pkt.Age()
-			j := i - 1
-			for j >= 0 && in[order[j]].q.peek().Pkt.Age() > a {
-				order[j+1] = order[j]
-				j--
-			}
-			order[j+1] = c
-		}
-	} else {
-		start := rotate % n
-		for i := range order {
-			order[i] = pending[(start+i)%n]
-		}
-	}
-	progress := false
-	for _, client := range order {
-		iv := &in[client]
-		for _, vc := range iv.resp.VCs {
-			if holder[iv.resp.Port][vc] == -1 {
-				holder[iv.resp.Port][vc] = client
-				iv.outPort, iv.outVC = iv.resp.Port, vc
-				sched[iv.resp.Port].addContender(client)
-				iv.granted = true
-				progress = true
-				if sp != nil {
-					if f := iv.q.peek(); sp.Tracked(f) {
-						// Arrival to VC grant: route computation plus the
-						// wait for a free output VC.
-						sp.Step(s, now, f, telemetry.SpanVCAlloc)
-					}
-				}
-				break
-			}
-		}
-	}
-	kept := pending[:0]
-	for _, client := range pending {
-		iv := &in[client]
-		if iv.granted {
-			iv.granted = false
-		} else {
-			//sslint:allow hotpath — appends into pending[:0], never past its original length
-			kept = append(kept, client)
-		}
-	}
-	return kept, progress
-}
-
-// holFromInputVC snapshots the head-of-line state of one input VC for the
-// architectures built on inputVC (IQ and IOQ). Architectures with output
-// queues overlay their queue occupancy on the result.
-func holFromInputVC(b *base, in []inputVC, holder [][]int, client int) HOLState {
-	iv := &in[client]
+// hol snapshots the head-of-line state of one input VC for the stall
+// diagnostician. owner maps each output VC (by client index) to the input
+// client holding it, -1 when free: the VC allocator's holders, or the output
+// queues' packet owners.
+func (b *base) hol(iv *inputVC, owner []int) HOLState {
 	st := HOLState{Occupancy: iv.q.len(), OutPort: -1, OutVC: -1, WantPort: -1, HolderPort: -1, HolderVC: -1, OutDepth: -1}
 	f := iv.q.peek()
 	if f == nil {
@@ -399,22 +403,22 @@ func holFromInputVC(b *base, in []inputVC, holder [][]int, client int) HOLState 
 	switch {
 	case iv.outVC >= 0:
 		st.Phase = HOLAllocated
-		st.OutPort, st.OutVC = iv.outPort, iv.outVC
-		st.Credits = b.downCred[iv.outPort][iv.outVC]
-		st.CreditCap = b.downCap[iv.outPort]
+		st.OutPort, st.OutVC = iv.resp.Port, iv.outVC
+		st.Credits = b.downCred[st.OutPort][st.OutVC]
+		st.CreditCap = b.downCap[st.OutPort]
 	case iv.routeState == rsDone:
 		st.Phase = HOLAwaitingVC
 		st.WantPort = iv.resp.Port
 		st.WantVCs = iv.resp.VCs
 		for _, vc := range iv.resp.VCs {
-			if holder[iv.resp.Port][vc] == -1 {
+			if owner[b.client(iv.resp.Port, vc)] == -1 {
 				// A wanted VC is free, so the wait is transient: a grant is
-				// due next allocation cycle. No holder to chain to.
+				// due next cycle. No holder to chain to.
 				return st
 			}
 		}
-		h := holder[iv.resp.Port][iv.resp.VCs[0]]
-		st.HolderPort, st.HolderVC = h/b.vcs, h%b.vcs
+		h := owner[b.client(iv.resp.Port, iv.resp.VCs[0])]
+		st.HolderPort, st.HolderVC = b.clientPort(h), b.clientVC(h)
 	default:
 		st.Phase = HOLRouting
 	}
@@ -438,6 +442,8 @@ type delayLine struct {
 	q         []flight
 	head      int
 	scheduled bool
+	tag       int          // event type arming the line
+	out       *outputStage // destination output queues; nil delivers to the channels
 }
 
 // push appends a traversal; it panics if completion times go backwards.

@@ -5,6 +5,9 @@
 // counters, crossbars, crossbar schedulers with configurable flow control
 // (flit-buffer, packet-buffer, winner-take-all), VC schedulers and
 // congestion sensors — and are configured entirely through JSON settings.
+// IQ and IOQ share one input stage (input VCs, routing, VC allocation, the
+// crossbar) and IOQ and OQ share one output stage (output queues and their
+// drain); each architecture adds only its own switch-allocation step.
 package router
 
 import (

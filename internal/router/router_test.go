@@ -291,13 +291,26 @@ func TestParseFlowControlAndPolicies(t *testing.T) {
 	mustPanic(t, func() { parseVCPolicy(config.MustParse(`{"vc_policy": "x"}`)) })
 }
 
+// vcStage builds a bare input stage over the given input VCs and output VC
+// holders (one port), for driving allocateVCs directly.
+func vcStage(in []inputVC, holder []int, ageOrder bool, pending ...int) *inputStage {
+	return &inputStage{
+		base:       &base{vcs: len(holder)},
+		in:         in,
+		holder:     holder,
+		vcPending:  pending,
+		vcOrder:    make([]int, len(in)),
+		vcAgeOrder: ageOrder,
+		sched:      []*xbarSched{newXbarSched(FlitBuffer, polRoundRobin, nil)},
+	}
+}
+
 func TestAllocateVCsGrantsFreeVCs(t *testing.T) {
 	in := make([]inputVC, 4)
 	for i := range in {
 		in[i].outPort, in[i].outVC = -1, -1
 	}
-	holder := [][]int{{-1, -1}} // 1 port, 2 VCs
-	sched := []*xbarSched{newXbarSched(FlitBuffer, polRoundRobin, nil)}
+	holder := []int{-1, -1} // 1 port, 2 VCs
 	// Clients 0 and 1 both want port 0; two VCs available -> both granted.
 	for _, c := range []int{0, 1} {
 		m := types.NewMessage(uint64(c), 0, 0, 1, 1, 1)
@@ -305,29 +318,30 @@ func TestAllocateVCsGrantsFreeVCs(t *testing.T) {
 		in[c].resp.Port = 0
 		in[c].resp.VCs = []int{0, 1}
 	}
-	kept, progress := allocateVCs(nil, 0, nil, []int{0, 1}, make([]int, 2), 0, false, in, holder, sched)
-	if !progress || len(kept) != 0 {
+	s := vcStage(in, holder, false, 0, 1)
+	progress := s.allocateVCs(0)
+	if kept := s.vcPending; !progress || len(kept) != 0 {
 		t.Fatalf("kept=%v progress=%v", kept, progress)
 	}
 	if in[0].outVC == in[1].outVC {
 		t.Fatal("two clients granted the same output VC")
 	}
-	if holder[0][in[0].outVC] != 0 || holder[0][in[1].outVC] != 1 {
+	if holder[in[0].outVC] != 0 || holder[in[1].outVC] != 1 {
 		t.Fatal("holder bookkeeping wrong")
 	}
 }
 
 func TestAllocateVCsBlocksWhenFull(t *testing.T) {
 	in := make([]inputVC, 2)
-	holder := [][]int{{5}} // VC held by client 5
-	sched := []*xbarSched{newXbarSched(FlitBuffer, polRoundRobin, nil)}
+	holder := []int{5} // VC held by client 5
 	m := types.NewMessage(1, 0, 0, 1, 1, 1)
 	in[0].q.push(m.Packets[0].Flits[0])
 	in[0].resp.Port = 0
 	in[0].resp.VCs = []int{0}
 	in[0].outVC = -1
-	kept, progress := allocateVCs(nil, 0, nil, []int{0}, make([]int, 1), 0, false, in, holder, sched)
-	if progress || len(kept) != 1 {
+	s := vcStage(in, holder, false, 0)
+	progress := s.allocateVCs(0)
+	if kept := s.vcPending; progress || len(kept) != 1 {
 		t.Fatalf("kept=%v progress=%v, want blocked", kept, progress)
 	}
 }
@@ -336,8 +350,7 @@ func TestAllocateVCsAgeOrder(t *testing.T) {
 	// One free VC, two waiting clients; the older packet must win
 	// regardless of list order.
 	in := make([]inputVC, 2)
-	holder := [][]int{{-1}}
-	sched := []*xbarSched{newXbarSched(FlitBuffer, polRoundRobin, nil)}
+	holder := []int{-1}
 	for c := 0; c < 2; c++ {
 		m := types.NewMessage(uint64(c), 0, 0, 1, 1, 1)
 		m.CreateTime = sim.Tick(100 - c*50) // client 1 is older
@@ -346,11 +359,12 @@ func TestAllocateVCsAgeOrder(t *testing.T) {
 		in[c].resp.VCs = []int{0}
 		in[c].outVC = -1
 	}
-	kept, _ := allocateVCs(nil, 0, nil, []int{0, 1}, make([]int, 2), 0, true, in, holder, sched)
-	if holder[0][0] != 1 {
-		t.Fatalf("holder = %d, want older client 1", holder[0][0])
+	s := vcStage(in, holder, true, 0, 1)
+	s.allocateVCs(0)
+	if holder[0] != 1 {
+		t.Fatalf("holder = %d, want older client 1", holder[0])
 	}
-	if len(kept) != 1 || kept[0] != 0 {
+	if kept := s.vcPending; len(kept) != 1 || kept[0] != 0 {
 		t.Fatalf("kept = %v", kept)
 	}
 }

@@ -4,10 +4,10 @@
 #                  (which include the fuzz seed corpora and golden-trace
 #                  conformance runs), and the race detector over every package
 #   make lint    - sslint, the simulator-aware static analysis suite
-#                  (determinism, hotpath, probeguard, factoryreg,
-#                  snapshotcomplete, shardsafety; see cmd/sslint and
-#                  TESTING.md). Runs the fixture self-check first, then the
-#                  repo, and writes the findings artifact sslint.findings.json
+#                  (determinism, probeguard, factoryreg, snapshotcomplete,
+#                  shardsafety; see cmd/sslint and TESTING.md). Runs the
+#                  fixture self-check first, then the repo, and writes the
+#                  findings artifact sslint.findings.json
 #   make lint-rules - list the active sslint rules with their one-line docs
 #   make cover   - per-package statement coverage against the committed floors
 #                  in coverage_floors.txt
@@ -25,8 +25,10 @@
 #                  kept the disabled hot path under the committed ceiling
 #   make bench-guard - allocation-regression guard: BenchmarkFigure5 (and the
 #                  explicit workers=1 path) with telemetry disabled must stay
-#                  under the ceiling committed in bench_ceiling.txt; also
-#                  reports the traced workers=2 path informationally
+#                  under the ceiling committed in bench_ceiling.txt, and
+#                  TestSteadyStateAllocBudget must hold every golden case to
+#                  0.05 allocations per retired flit; also reports the traced
+#                  workers=2 path informationally
 #   make bench-guard-spans - the guard plus an informational run of the
 #                  span-instrumented BenchmarkFigure5Spans (never enforced)
 #   make bench-parallel - the Figure 5 transient at -workers 1/2/4 on the
@@ -45,13 +47,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Simulator-aware static analysis: determinism, hot-path allocation
-# discipline, probe hygiene, factory-registration coverage, snapshot
-# completeness and shard safety. The fixture self-check replays the
-# want-comment fixture packages so a drifted rule fails here, not just in
-# `go test`; the repo run then writes its findings as a JSON artifact for CI
-# consumption. The baseline file holds accepted findings (currently none);
-# stale entries fail the run.
+# Simulator-aware static analysis: determinism, probe hygiene,
+# factory-registration coverage, snapshot completeness and shard safety. The
+# fixture self-check replays the want-comment fixture packages so a drifted
+# rule fails here, not just in `go test`; the repo run then writes its
+# findings as a JSON artifact for CI consumption. The baseline file holds
+# accepted findings (currently none); stale entries fail the run.
 lint:
 	$(GO) run ./cmd/sslint -fixtures
 	$(GO) run ./cmd/sslint -baseline sslint.baseline -json-out sslint.findings.json ./...

@@ -24,15 +24,15 @@ func TestDirtyText(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
-	// Two findings: the hotpath allocation and the unused allow, rendered with
+	// Two findings: the unguarded probe call and the unused allow, rendered with
 	// module-root-relative paths.
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d findings, want 2:\n%s", len(lines), out)
 	}
 	if !strings.Contains(lines[0], "cmd/sslint/testdata/dirty/dirty.go:") ||
-		!strings.Contains(lines[0], "new allocates") ||
-		!strings.HasSuffix(lines[0], "[hotpath]") {
+		!strings.Contains(lines[0], "not dominated by a nil check of p") ||
+		!strings.HasSuffix(lines[0], "[probeguard]") {
 		t.Errorf("unexpected first finding: %q", lines[0])
 	}
 	if !strings.Contains(lines[1], "suppresses nothing") ||
@@ -57,8 +57,8 @@ func TestDirtyJSON(t *testing.T) {
 		t.Fatalf("got %d findings, want 2: %v", len(diags), diags)
 	}
 	d := diags[0]
-	if d.File != "cmd/sslint/testdata/dirty/dirty.go" || d.Rule != "hotpath" ||
-		d.Line <= 0 || d.Col <= 0 || !strings.Contains(d.Message, "new allocates") {
+	if d.File != "cmd/sslint/testdata/dirty/dirty.go" || d.Rule != "probeguard" ||
+		d.Line <= 0 || d.Col <= 0 || !strings.Contains(d.Message, "not dominated by a nil check of p") {
 		t.Errorf("unexpected finding: %+v", d)
 	}
 	if diags[1].Rule != "directive" {
@@ -67,8 +67,8 @@ func TestDirtyJSON(t *testing.T) {
 }
 
 func TestRuleSubset(t *testing.T) {
-	// With -rules the directive meta-check is off: only the hotpath finding.
-	code, out, _ := runDriver(t, "-rules", "hotpath", "testdata/dirty")
+	// With -rules the directive meta-check is off: only the probeguard finding.
+	code, out, _ := runDriver(t, "-rules", "probeguard", "testdata/dirty")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
@@ -76,7 +76,7 @@ func TestRuleSubset(t *testing.T) {
 		t.Fatalf("got %d findings, want 1:\n%s", len(lines), out)
 	}
 	// A subset that has nothing to say about the fixture is clean.
-	code, out, _ = runDriver(t, "-rules", "determinism,probeguard", "testdata/dirty")
+	code, out, _ = runDriver(t, "-rules", "determinism,factoryreg", "testdata/dirty")
 	if code != 0 || strings.TrimSpace(out) != "" {
 		t.Fatalf("exit code = %d (want 0), output %q", code, out)
 	}
@@ -100,7 +100,7 @@ func TestJSONOutArtifact(t *testing.T) {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
 	// Text findings still go to stdout; the artifact is written alongside.
-	if !strings.Contains(out, "[hotpath]") {
+	if !strings.Contains(out, "[probeguard]") {
 		t.Errorf("stdout lost the text findings: %q", out)
 	}
 	data, err := os.ReadFile(path)
@@ -191,7 +191,7 @@ func TestBaselineSuppressesAndGoesStale(t *testing.T) {
 	}
 
 	// An entry whose finding no longer exists must fail the run loudly.
-	stale := content + "cmd/sslint/testdata/dirty/dirty.go:99:1: long-gone finding [hotpath]\n"
+	stale := content + "cmd/sslint/testdata/dirty/dirty.go:99:1: long-gone finding [probeguard]\n"
 	if err := os.WriteFile(baseline, []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Command sslint runs the simulator-aware static analysis suite over the
-// repository: determinism, hotpath, probeguard and factoryreg (see
-// internal/lint).
+// repository: determinism, probeguard, factoryreg, snapshotcomplete and
+// shardsafety (see internal/lint).
 //
 // Usage:
 //
-//	sslint [-rules determinism,hotpath] [-json] [-baseline sslint.baseline] <packages>
+//	sslint [-rules determinism,probeguard] [-json] [-baseline sslint.baseline] <packages>
 //
 // Targets are directories (./internal/router) or go-list patterns (./...).
 // Exit code 0 means clean, 1 means findings, 2 means the run itself failed

@@ -53,9 +53,6 @@ func FixtureSpecs() []FixtureSpec {
 		{Name: "taskrun-out-of-scope", Dir: "taskrun",
 			ImportPath: "supersim/internal/lint/testdata/src/taskrun",
 			Rules:      det, WantClean: true},
-		{Name: "hotpath", Dir: "hotpath",
-			ImportPath: "supersim/internal/lint/testdata/src/hotpath",
-			Rules:      []string{RuleHotpath}},
 		{Name: "probeguard", Dir: "probeguard",
 			ImportPath: "supersim/internal/lint/testdata/src/probeguard",
 			Rules:      []string{RuleProbeguard}},

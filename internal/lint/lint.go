@@ -1,19 +1,17 @@
 // Package lint implements sslint, a simulator-aware static analysis suite.
 //
 // SuperSim's value rests on bit-exact reproducibility: identical configs must
-// yield identical results, the zero-allocation traffic hot path must stay
-// allocation-free, and every observation probe must be free when disabled.
-// The runtime test suite (golden traces, byte-identical observation-only e2e,
-// the verify subsystem) catches violations after the fact; this package
+// yield identical results, and every observation probe must be free when
+// disabled. The runtime test suite (golden traces, byte-identical
+// observation-only e2e, the verify subsystem, the steady-state allocation
+// budget in internal/core) catches violations after the fact; this package
 // catches them at lint time, as structural properties of the source.
 //
-// Six analyzers encode the repo's invariants:
+// Five analyzers encode the repo's invariants:
 //
 //   - determinism: sim-core packages must not read the wall clock, draw from
 //     the global math/rand source, or let map iteration order feed simulation
 //     state (Determinism).
-//   - hotpath: functions marked //sslint:hotpath must not contain syntactic
-//     allocation sources (Hotpath).
 //   - probeguard: calls to telemetry/spans/verify probes must be dominated by
 //     a nil check of the receiver, preserving the disabled-path-is-free
 //     guarantee (Probeguard).
@@ -35,11 +33,7 @@
 //
 // # Directives
 //
-// Three comment directives steer the analyzers:
-//
-//	//sslint:hotpath
-//
-// in a function's doc comment marks it for the hotpath analyzer.
+// Two comment directives steer the analyzers:
 //
 //	//sslint:allow <rule>[,<rule>...] — <justification>
 //
@@ -66,7 +60,6 @@ import (
 // Rule names of the shipped analyzers plus the internal directive checker.
 const (
 	RuleDeterminism      = "determinism"
-	RuleHotpath          = "hotpath"
 	RuleProbeguard       = "probeguard"
 	RuleFactoryReg       = "factoryreg"
 	RuleSnapshotComplete = "snapshotcomplete"
@@ -74,14 +67,14 @@ const (
 
 	// RuleDirective reports misuse of the //sslint: directives themselves:
 	// unknown rule names, missing justifications, allows that suppress
-	// nothing, and hotpath marks outside function doc comments. It is active
-	// whenever the full analyzer set runs.
+	// nothing, and unknown //sslint: directives. It is active whenever the
+	// full analyzer set runs.
 	RuleDirective = "directive"
 )
 
 // Rules returns the names of the selectable analyzers, sorted.
 func Rules() []string {
-	return []string{RuleDeterminism, RuleFactoryReg, RuleHotpath, RuleProbeguard,
+	return []string{RuleDeterminism, RuleFactoryReg, RuleProbeguard,
 		RuleShardSafety, RuleSnapshotComplete}
 }
 
@@ -91,8 +84,6 @@ func RuleDoc(name string) string {
 	switch name {
 	case RuleDeterminism:
 		return "sim-core code must not read the wall clock, draw global randomness, iterate maps into state, or spawn ad-hoc concurrency"
-	case RuleHotpath:
-		return "//sslint:hotpath functions must be free of syntactic allocation sources"
 	case RuleProbeguard:
 		return "probe/ledger method calls must be dominated by a nil check of the receiver (CFG dataflow)"
 	case RuleFactoryReg:
@@ -123,8 +114,6 @@ func NewAnalyzer(name string) (Analyzer, error) {
 	switch name {
 	case RuleDeterminism:
 		return NewDeterminism(), nil
-	case RuleHotpath:
-		return NewHotpath(), nil
 	case RuleProbeguard:
 		return NewProbeguard(), nil
 	case RuleFactoryReg:

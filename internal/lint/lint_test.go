@@ -75,7 +75,6 @@ func TestDirectiveProblems(t *testing.T) {
 		`lists rule "determinism" twice`,
 		`unknown sslint directive "//sslint:frobnicate"`,
 		"//sslint:nosnapshot requires a justification",
-		"doc comment of a function",
 	}
 	probs := p.directives.problems
 	if len(probs) != len(wantSubstr) {
@@ -91,7 +90,7 @@ func TestDirectiveProblems(t *testing.T) {
 	}
 	// The problems surface through Runner.Run only when directive checking is
 	// on, and never from a rule-subset run.
-	if diags := (&Runner{Analyzers: []Analyzer{NewHotpath()}}).Run([]*Package{p}); len(diags) != 0 {
+	if diags := (&Runner{Analyzers: []Analyzer{NewProbeguard()}}).Run([]*Package{p}); len(diags) != 0 {
 		t.Errorf("rule-subset run leaked directive problems: %v", diags)
 	}
 	// The full run adds one finding beyond the parse problems: the allow the
@@ -124,7 +123,7 @@ func TestNewAnalyzer(t *testing.T) {
 	if _, err := NewAnalyzer("bogus"); err == nil {
 		t.Fatal("NewAnalyzer accepted an unknown rule")
 	}
-	if !KnownRule(RuleHotpath) || KnownRule("bogus") || KnownRule(RuleDirective) {
+	if !KnownRule(RuleProbeguard) || KnownRule("bogus") || KnownRule(RuleDirective) {
 		t.Fatal("KnownRule misclassifies")
 	}
 }

@@ -42,9 +42,6 @@ func (p *Package) Parent(n ast.Node) ast.Node { return p.parents[n] }
 // Position resolves a token position.
 func (p *Package) Position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
 
-// HotpathFuncs returns the function declarations marked //sslint:hotpath.
-func (p *Package) HotpathFuncs() []*ast.FuncDecl { return p.directives.hotpath }
-
 // Loader parses and type-checks packages. All packages loaded through one
 // Loader share a FileSet and a source importer, so dependency packages are
 // type-checked once per Loader regardless of how many targets import them.

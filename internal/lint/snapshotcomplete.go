@@ -369,6 +369,21 @@ func codecDisplayName(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
+// recvString renders a receiver type expression for diagnostics.
+func recvString(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return "(*" + recvString(x.X) + ")"
+	case *ast.Ident:
+		return x.Name
+	case *ast.IndexExpr:
+		return recvString(x.X)
+	case *ast.IndexListExpr:
+		return recvString(x.X)
+	}
+	return "recv"
+}
+
 // codecValue finds the encoder/decoder value a function operates on: a
 // parameter of type *snapshot.Encoder/*snapshot.Decoder, or — for functions
 // whose name carries a codec direction prefix — a local created via

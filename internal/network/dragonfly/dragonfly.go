@@ -41,6 +41,10 @@ type Dragonfly struct {
 	vcs     int
 	alg     int
 	thresh  float64
+	// Routing responses and the injection policy share these read-only VC
+	// sets, so routing a packet allocates nothing.
+	all []int   // every VC, for ejection
+	one [][]int // one[vc] is the single-VC set {vc}
 }
 
 // New builds a dragonfly from the network settings block.
@@ -72,14 +76,17 @@ func New(s *sim.Simulator, cfg *config.Settings) *Dragonfly {
 		panic("dragonfly: this routing algorithm requires more VCs")
 	}
 	d.thresh = cfg.FloatOr("routing.ugal_bias", 0)
+	d.all = make([]int, d.vcs)
+	d.one = make([][]int, d.vcs)
+	for i := range d.all {
+		d.all[i] = i
+		d.one[i] = d.all[i : i+1 : i+1]
+	}
 
 	numRouters := d.groups * d.a
 	radix := d.p + (d.a - 1) + d.h
-	rc := func(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
-		return &dfAlg{d: d, router: routerID, sensor: sensor, rng: rng}
-	}
 	for id := 0; id < numRouters; id++ {
-		d.BuildRouter(id, radix, rc)
+		d.BuildRouter(id, radix, d.routingAlg)
 	}
 	// Local all-to-all within each group.
 	for g := 0; g < d.groups; g++ {
@@ -108,13 +115,21 @@ func New(s *sim.Simulator, cfg *config.Settings) *Dragonfly {
 			d.LinkBidir(d.Routers[sr], d.globalPort(l%d.h), d.Routers[tr], d.globalPort(back%d.h))
 		}
 	}
-	policy := func(pkt *types.Packet) []int { return []int{0} }
 	for t := 0; t < numRouters*d.p; t++ {
-		ifc := d.BuildInterface(t, d.vcs, policy)
+		ifc := d.BuildInterface(t, d.vcs, d.injectionVCs)
 		d.AttachTerminal(ifc, d.Routers[t/d.p], t%d.p)
 	}
 	return d
 }
+
+// routingAlg implements routing.Ctor.
+func (d *Dragonfly) routingAlg(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
+	return &dfAlg{d: d, router: routerID, sensor: sensor, rng: rng}
+}
+
+// injectionVCs implements netiface.InjectionPolicy: every packet starts in
+// VC class 0.
+func (d *Dragonfly) injectionVCs(*types.Packet) []int { return d.one[0] }
 
 func (d *Dragonfly) localPort(o int) int  { return d.p + o - 1 }
 func (d *Dragonfly) globalPort(j int) int { return d.p + d.a - 1 + j }
@@ -173,14 +188,10 @@ func (a *dfAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing
 			lastLocal = 2
 		}
 		if a.router == dstR {
-			all := make([]int, d.vcs)
-			for i := range all {
-				all[i] = i
-			}
-			return routing.Response{Port: dst % d.p, VCs: all}
+			return routing.Response{Port: dst % d.p, VCs: d.all}
 		}
 		o := ((dstR-a.router)%d.a + d.a) % d.a
-		return routing.Response{Port: d.localPort(o), VCs: []int{lastLocal}}
+		return routing.Response{Port: d.localPort(o), VCs: d.one[lastLocal]}
 	}
 	tg := dg
 	if pkt.NonMinimal && !st.Dateline {
@@ -192,10 +203,10 @@ func (a *dfAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing
 		class = 1
 	}
 	if a.router%d.a == ro {
-		return routing.Response{Port: d.globalPort(gp), VCs: []int{class}}
+		return routing.Response{Port: d.globalPort(gp), VCs: d.one[class]}
 	}
 	o := ((ro-a.router%d.a)%d.a + d.a) % d.a
-	return routing.Response{Port: d.localPort(o), VCs: []int{class}}
+	return routing.Response{Port: d.localPort(o), VCs: d.one[class]}
 }
 
 // hops counts the minimal path length from router r to router dstR.

@@ -1,10 +1,15 @@
 package dragonfly
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"supersim/internal/config"
+	"supersim/internal/congestion"
+	"supersim/internal/netiface"
+	"supersim/internal/routing"
 	"supersim/internal/sim"
+	"supersim/internal/types"
 )
 
 func build(t *testing.T) *Dragonfly {
@@ -69,5 +74,64 @@ func TestGlobalOwnerBijective(t *testing.T) {
 		if len(seen) != d.groups-1 {
 			t.Fatalf("group %d uses %d slots, want %d", g, len(seen), d.groups-1)
 		}
+	}
+}
+
+// Package-level sinks keep results escaping, so a VC set built per call
+// shows up as a heap allocation instead of being stack-allocated after
+// inlining.
+var (
+	routeSink routing.Response
+	vcSink    []int
+)
+
+func TestRouteAllocatesNothing(t *testing.T) {
+	// a=2, h=2: router 0 owns the global links to groups 1 and 2, router 1
+	// those to groups 3 and 4. Ports: terminals 0-1, local 2, global 3-4.
+	// Non-minimal packets detour through group 2.
+	d := New(sim.NewSimulator(1), config.MustParse(`{
+	  "topology": "dragonfly",
+	  "concentration": 2,
+	  "group_size": 2,
+	  "global_links": 2,
+	  "channel": {"latency": 2, "period": 1},
+	  "injection": {"latency": 1},
+	  "router": {"architecture": "input_queued", "num_vcs": 3, "input_buffer_depth": 4, "crossbar_latency": 1},
+	  "routing": {"algorithm": "ugal"}
+	}`))
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, c := range []struct {
+		name        string
+		router, dst int
+		hops        int
+		nonMinimal  bool
+		wantPort    int
+	}{
+		{"eject", 0, 1, 1, false, 1},
+		{"minimal local in destination group", 0, 2, 1, false, 2},
+		{"ugal decision then minimal global", 0, 4, 0, false, 3},
+		{"minimal local toward global owner", 0, 12, 1, false, 2},
+		{"non-minimal global to intermediate", 0, 12, 1, true, 4},
+		{"non-minimal local in intermediate group", 4, 12, 2, true, 2},
+		{"non-minimal local in destination group", 7, 12, 3, true, 2},
+	} {
+		alg := d.routingAlg(c.router, 0, congestion.NullSensor{}, rng)
+		pkt := &types.Packet{Msg: &types.Message{Dst: c.dst}}
+		route := func() {
+			pkt.HopCount, pkt.NonMinimal, pkt.Intermediate = c.hops, c.nonMinimal, 2
+			pkt.Routing = types.RoutingScratch{}
+			routeSink = alg.Route(0, pkt, 0, 0)
+		}
+		if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
+			t.Errorf("%s: Route allocates %.1f objects per call", c.name, allocs)
+		}
+		if routeSink.Port != c.wantPort {
+			t.Errorf("%s: routed to port %d, want %d", c.name, routeSink.Port, c.wantPort)
+		}
+	}
+	var policy netiface.InjectionPolicy = d.injectionVCs
+	pkt := &types.Packet{Msg: &types.Message{Dst: 4}}
+	if allocs := testing.AllocsPerRun(100, func() { vcSink = policy(pkt) }); allocs != 0 {
+		t.Errorf("injection policy allocates %.1f objects per call", allocs)
 	}
 }

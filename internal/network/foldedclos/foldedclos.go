@@ -36,6 +36,10 @@ type FoldedClos struct {
 	vcs    int
 	perLvl int // routers per level = k^(n-1)
 	adapt  bool
+	// Routing responses and the injection policy share these read-only
+	// sets, so routing a packet allocates nothing.
+	all []int               // every VC
+	ups []routing.Candidate // the k up ports, for adaptive uprouting
 }
 
 // New builds a folded-Clos from the network settings block.
@@ -63,12 +67,13 @@ func New(s *sim.Simulator, cfg *config.Settings) *FoldedClos {
 	for i := 0; i < f.levels-1; i++ {
 		f.perLvl *= f.k
 	}
-	all := make([]int, f.vcs)
-	for i := range all {
-		all[i] = i
+	f.all = make([]int, f.vcs)
+	for i := range f.all {
+		f.all[i] = i
 	}
-	rc := func(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
-		return &upAlg{f: f, router: routerID, sensor: sensor, rng: rng, all: all}
+	f.ups = make([]routing.Candidate, f.k)
+	for u := range f.ups {
+		f.ups[u] = routing.Candidate{Port: f.k + u, VC: 0}
 	}
 	// Routers level by level; id = level*perLvl + index(w).
 	for lvl := 0; lvl < f.levels; lvl++ {
@@ -77,7 +82,7 @@ func New(s *sim.Simulator, cfg *config.Settings) *FoldedClos {
 			radix = f.k // roots: all ports face down
 		}
 		for w := 0; w < f.perLvl; w++ {
-			f.BuildRouter(lvl*f.perLvl+w, radix, rc)
+			f.BuildRouter(lvl*f.perLvl+w, radix, f.routingAlg)
 		}
 	}
 	// Up links: router (l, w) up port k+u <-> router (l+1, replace(w,l,u))
@@ -93,14 +98,22 @@ func New(s *sim.Simulator, cfg *config.Settings) *FoldedClos {
 		}
 	}
 	// Terminals: terminal t attaches to leaf router w = t/k, down port t%k.
-	policy := func(pkt *types.Packet) []int { return all }
 	numTerms := f.perLvl * f.k
 	for t := 0; t < numTerms; t++ {
-		ifc := f.BuildInterface(t, f.vcs, policy)
+		ifc := f.BuildInterface(t, f.vcs, f.injectionVCs)
 		f.AttachTerminal(ifc, f.Routers[t/f.k], t%f.k)
 	}
 	return f
 }
+
+// routingAlg implements routing.Ctor.
+func (f *FoldedClos) routingAlg(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
+	return &upAlg{f: f, router: routerID, sensor: sensor, rng: rng}
+}
+
+// injectionVCs implements netiface.InjectionPolicy: packets may start on
+// any VC.
+func (f *FoldedClos) injectionVCs(*types.Packet) []int { return f.all }
 
 // digit extracts base-k digit position d of index w (0 = least significant).
 func (f *FoldedClos) digit(w, d int) int {
@@ -144,7 +157,6 @@ type upAlg struct {
 	router int
 	sensor congestion.Sensor
 	rng    *rand.Rand
-	all    []int
 }
 
 // Route implements routing.Algorithm.
@@ -155,16 +167,12 @@ func (a *upAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing
 	if f.covers(lvl, w, dst) {
 		// Down: the child covering dst is selected by the terminal digit at
 		// this level; at the leaf that digit is the terminal port.
-		return routing.Response{Port: f.digit(dst, lvl), VCs: a.all}
+		return routing.Response{Port: f.digit(dst, lvl), VCs: f.all}
 	}
 	// Up: choose among the k up ports.
-	if !a.f.adapt {
-		return routing.Response{Port: f.k + a.rng.IntN(f.k), VCs: a.all}
+	if !f.adapt {
+		return routing.Response{Port: f.k + a.rng.IntN(f.k), VCs: f.all}
 	}
-	cands := make([]routing.Candidate, f.k)
-	for u := 0; u < f.k; u++ {
-		cands[u] = routing.Candidate{Port: f.k + u, VC: 0}
-	}
-	best := routing.LeastCongested(now, a.sensor, a.rng, cands)
-	return routing.Response{Port: best.Port, VCs: a.all}
+	best := routing.LeastCongested(now, a.sensor, a.rng, f.ups)
+	return routing.Response{Port: best.Port, VCs: f.all}
 }

@@ -1,10 +1,15 @@
 package foldedclos
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"supersim/internal/config"
+	"supersim/internal/congestion"
+	"supersim/internal/netiface"
+	"supersim/internal/routing"
 	"supersim/internal/sim"
+	"supersim/internal/types"
 )
 
 func build(t *testing.T, k, levels int) *FoldedClos {
@@ -97,6 +102,58 @@ func TestLevelIndexDecomposition(t *testing.T) {
 		}
 		if lvl < 0 || lvl > 2 || idx < 0 || idx >= 16 {
 			t.Fatalf("rid %d -> (%d, %d)", rid, lvl, idx)
+		}
+	}
+}
+
+// Package-level sinks keep results escaping, so a VC set or candidate list
+// built per call shows up as a heap allocation instead of being
+// stack-allocated after inlining.
+var (
+	routeSink routing.Response
+	vcSink    []int
+)
+
+func TestRouteAllocatesNothing(t *testing.T) {
+	for _, alg := range []string{"adaptive_uprouting", "oblivious_uprouting"} {
+		// k=2, 3 levels: leaves 0-3, middle 4-7, roots 8-11; ports 0-1 face
+		// down and 2-3 up.
+		f := New(sim.NewSimulator(1), config.MustParse(`{
+		  "topology": "folded_clos",
+		  "half_radix": 2,
+		  "levels": 3,
+		  "channel": {"latency": 2, "period": 1},
+		  "injection": {"latency": 1},
+		  "router": {"architecture": "input_queued", "num_vcs": 2, "input_buffer_depth": 4, "crossbar_latency": 1},
+		  "routing": {"algorithm": "`+alg+`"}
+		}`))
+		rng := rand.New(rand.NewPCG(1, 2))
+		for _, c := range []struct {
+			name        string
+			router, dst int
+			up          bool
+			downPort    int
+		}{
+			{"leaf up", 0, 7, true, 0},
+			{"leaf eject", 0, 1, false, 1},
+			{"middle up", 4, 7, true, 0},
+			{"middle down", 4, 2, false, 1},
+			{"root down", 8, 7, false, 1},
+		} {
+			ra := f.routingAlg(c.router, 0, congestion.NullSensor{}, rng)
+			pkt := &types.Packet{Msg: &types.Message{Dst: c.dst}, Intermediate: -1}
+			route := func() { routeSink = ra.Route(0, pkt, 0, 0) }
+			if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
+				t.Errorf("%s %s: Route allocates %.1f objects per call", alg, c.name, allocs)
+			}
+			if up := routeSink.Port >= f.k; up != c.up || (!up && routeSink.Port != c.downPort) {
+				t.Errorf("%s %s: routed to port %d", alg, c.name, routeSink.Port)
+			}
+		}
+		var policy netiface.InjectionPolicy = f.injectionVCs
+		pkt := &types.Packet{Msg: &types.Message{Dst: 7}, Intermediate: -1}
+		if allocs := testing.AllocsPerRun(100, func() { vcSink = policy(pkt) }); allocs != 0 {
+			t.Errorf("%s: injection policy allocates %.1f objects per call", alg, allocs)
 		}
 	}
 }

@@ -43,6 +43,10 @@ type HyperX struct {
 	vcs    int
 	alg    int
 	thresh float64 // UGAL bias added to the non-minimal estimate
+	// Routing responses and the injection policy share these read-only VC
+	// sets, so routing a packet allocates nothing.
+	phase0, phase1 []int // the VC of each Valiant/UGAL phase
+	all            []int // every VC
 }
 
 // New builds a HyperX from the network settings block.
@@ -86,18 +90,14 @@ func New(s *sim.Simulator, cfg *config.Settings) *HyperX {
 		radix += w - 1
 	}
 
-	phase0 := []int{0}
-	phase1 := []int{1}
-	all := make([]int, h.vcs)
-	for i := range all {
-		all[i] = i
-	}
-	rc := func(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
-		return &hxAlg{h: h, router: routerID, sensor: sensor, rng: rng,
-			phase0: phase0, phase1: phase1, all: all}
+	h.phase0 = []int{0}
+	h.phase1 = []int{1}
+	h.all = make([]int, h.vcs)
+	for i := range h.all {
+		h.all[i] = i
 	}
 	for id := 0; id < numRouters; id++ {
-		h.BuildRouter(id, radix, rc)
+		h.BuildRouter(id, radix, h.routingAlg)
 	}
 	// All-to-all links within each dimension (each direction is a distinct
 	// port, so Link rather than LinkBidir; the o and S-o offsets pair up).
@@ -109,17 +109,25 @@ func New(s *sim.Simulator, cfg *config.Settings) *HyperX {
 			}
 		}
 	}
-	policy := func(pkt *types.Packet) []int {
-		if h.alg == algMinimal {
-			return all
-		}
-		return phase0
-	}
 	for t := 0; t < numRouters*h.conc; t++ {
-		ifc := h.BuildInterface(t, h.vcs, policy)
+		ifc := h.BuildInterface(t, h.vcs, h.injectionVCs)
 		h.AttachTerminal(ifc, h.Routers[t/h.conc], t%h.conc)
 	}
 	return h
+}
+
+// routingAlg implements routing.Ctor.
+func (h *HyperX) routingAlg(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
+	return &hxAlg{h: h, router: routerID, sensor: sensor, rng: rng}
+}
+
+// injectionVCs implements netiface.InjectionPolicy: minimal routing may
+// start on any VC, Valiant and UGAL start in phase 0.
+func (h *HyperX) injectionVCs(*types.Packet) []int {
+	if h.alg == algMinimal {
+		return h.all
+	}
+	return h.phase0
 }
 
 // offsetPort returns the port for offset o (1..S_d-1) in dimension d.
@@ -183,9 +191,6 @@ type hxAlg struct {
 	router int
 	sensor congestion.Sensor
 	rng    *rand.Rand
-	phase0 []int
-	phase1 []int
-	all    []int
 }
 
 // Route implements routing.Algorithm.
@@ -199,18 +204,18 @@ func (a *hxAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing
 	}
 	// Phase 0: toward the intermediate router.
 	if pkt.Intermediate >= 0 && a.router != pkt.Intermediate {
-		return routing.Response{Port: h.minimalPort(a.router, pkt.Intermediate), VCs: a.phase0}
+		return routing.Response{Port: h.minimalPort(a.router, pkt.Intermediate), VCs: h.phase0}
 	}
 	if pkt.Intermediate >= 0 && a.router == pkt.Intermediate {
 		pkt.Intermediate = -1 // phase transition
 	}
 	if a.router == dstR {
-		return routing.Response{Port: dst % h.conc, VCs: a.all}
+		return routing.Response{Port: dst % h.conc, VCs: h.all}
 	}
-	vcs := a.phase0
+	vcs := h.phase0
 	if h.alg != algMinimal {
 		if pkt.NonMinimal {
-			vcs = a.phase1
+			vcs = h.phase1
 		}
 	}
 	return routing.Response{Port: h.minimalPort(a.router, dstR), VCs: vcs}

@@ -1,10 +1,16 @@
 package hyperx
 
 import (
+	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"supersim/internal/config"
+	"supersim/internal/congestion"
+	"supersim/internal/netiface"
+	"supersim/internal/routing"
 	"supersim/internal/sim"
+	"supersim/internal/types"
 )
 
 func build(t *testing.T, doc string) *HyperX {
@@ -89,5 +95,52 @@ func TestLinkPairingConsistency(t *testing.T) {
 	// 12*9 = 108
 	if len(h.Channels()) != 108 {
 		t.Fatalf("channels = %d", len(h.Channels()))
+	}
+}
+
+// Package-level sinks keep results escaping, so a VC set built per call
+// shows up as a heap allocation instead of being stack-allocated after
+// inlining.
+var (
+	routeSink routing.Response
+	vcSink    []int
+)
+
+func TestRouteAllocatesNothing(t *testing.T) {
+	for _, alg := range []string{"dimension_order", "ugal"} {
+		h := build(t, strings.Replace(h3x4, "dimension_order", alg, 1))
+		rng := rand.New(rand.NewPCG(1, 2))
+		// Terminal 10 sits on router 5; non-minimal packets detour via
+		// router 7.
+		for _, c := range []struct {
+			name        string
+			router, dst int
+			hops, inter int
+			nonMinimal  bool
+			wantPort    int
+		}{
+			{"eject", 0, 1, 1, -1, false, 1},
+			{"source decision then minimal", 0, 10, 0, -1, false, h.minimalPort(0, 5)},
+			{"phase 0 toward intermediate", 0, 10, 1, 7, true, h.minimalPort(0, 7)},
+			{"phase 1 from intermediate", 7, 10, 2, 7, true, h.minimalPort(7, 5)},
+		} {
+			ra := h.routingAlg(c.router, 0, congestion.NullSensor{}, rng)
+			pkt := &types.Packet{Msg: &types.Message{Dst: c.dst}}
+			route := func() {
+				pkt.HopCount, pkt.Intermediate, pkt.NonMinimal = c.hops, c.inter, c.nonMinimal
+				routeSink = ra.Route(0, pkt, 0, 0)
+			}
+			if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
+				t.Errorf("%s %s: Route allocates %.1f objects per call", alg, c.name, allocs)
+			}
+			if routeSink.Port != c.wantPort {
+				t.Errorf("%s %s: routed to port %d, want %d", alg, c.name, routeSink.Port, c.wantPort)
+			}
+		}
+		var policy netiface.InjectionPolicy = h.injectionVCs
+		pkt := &types.Packet{Msg: &types.Message{Dst: 10}, Intermediate: -1}
+		if allocs := testing.AllocsPerRun(100, func() { vcSink = policy(pkt) }); allocs != 0 {
+			t.Errorf("%s: injection policy allocates %.1f objects per call", alg, allocs)
+		}
 	}
 }

@@ -29,6 +29,7 @@ type ParkingLot struct {
 	network.Base
 	n   int
 	vcs int
+	all []int // every VC, shared read-only by routing and injection
 }
 
 // New builds a parking lot chain from the network settings block.
@@ -40,33 +41,39 @@ func New(s *sim.Simulator, cfg *config.Settings) *ParkingLot {
 	}
 	p.vcs = int(cfg.UIntOr("router.num_vcs", 1))
 
-	all := make([]int, p.vcs)
-	for i := range all {
-		all[i] = i
-	}
-	rc := func(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
-		return routing.AlgorithmFunc(func(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
-			dst := pkt.Msg.Dst
-			switch {
-			case dst < routerID:
-				return routing.Response{Port: 1, VCs: all}
-			case dst > routerID:
-				return routing.Response{Port: 2, VCs: all}
-			default:
-				return routing.Response{Port: 0, VCs: all}
-			}
-		})
+	p.all = make([]int, p.vcs)
+	for i := range p.all {
+		p.all[i] = i
 	}
 	for id := 0; id < p.n; id++ {
-		p.BuildRouter(id, 3, rc)
+		p.BuildRouter(id, 3, p.routingAlg)
 	}
 	for id := 0; id+1 < p.n; id++ {
 		p.LinkBidir(p.Routers[id], 2, p.Routers[id+1], 1)
 	}
-	policy := func(pkt *types.Packet) []int { return all }
 	for t := 0; t < p.n; t++ {
-		ifc := p.BuildInterface(t, p.vcs, policy)
+		ifc := p.BuildInterface(t, p.vcs, p.injectionVCs)
 		p.AttachTerminal(ifc, p.Routers[t], 0)
 	}
 	return p
 }
+
+// routingAlg implements routing.Ctor: packets move along the chain toward
+// their destination and eject there.
+func (p *ParkingLot) routingAlg(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
+	return routing.AlgorithmFunc(func(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
+		dst := pkt.Msg.Dst
+		switch {
+		case dst < routerID:
+			return routing.Response{Port: 1, VCs: p.all}
+		case dst > routerID:
+			return routing.Response{Port: 2, VCs: p.all}
+		default:
+			return routing.Response{Port: 0, VCs: p.all}
+		}
+	})
+}
+
+// injectionVCs implements netiface.InjectionPolicy: packets may start on
+// any VC.
+func (p *ParkingLot) injectionVCs(*types.Packet) []int { return p.all }

@@ -31,6 +31,10 @@ type Torus struct {
 	widths []int
 	conc   int
 	vcs    int
+	// Routing responses and the injection policy share these read-only VC
+	// sets, so routing a packet allocates nothing.
+	class0, class1 []int // the lower and upper dateline classes
+	all            []int // every VC
 }
 
 // New builds a torus from the network settings block.
@@ -64,22 +68,14 @@ func New(s *sim.Simulator, cfg *config.Settings) *Torus {
 	}
 	radix := t.conc + 2*len(t.widths)
 
+	t.all = make([]int, t.vcs)
+	for i := range t.all {
+		t.all[i] = i
+	}
 	half := t.vcs / 2
-	class0 := make([]int, half)
-	class1 := make([]int, half)
-	all := make([]int, t.vcs)
-	for i := 0; i < half; i++ {
-		class0[i] = i
-		class1[i] = half + i
-	}
-	for i := range all {
-		all[i] = i
-	}
-	rc := func(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
-		return &dorAlg{t: t, router: routerID, class0: class0, class1: class1, all: all}
-	}
+	t.class0, t.class1 = t.all[:half:half], t.all[half:2*half:2*half]
 	for id := 0; id < numRouters; id++ {
-		t.BuildRouter(id, radix, rc)
+		t.BuildRouter(id, radix, t.routingAlg)
 	}
 	// Inter-router links: one bidirectional pair per dimension per router
 	// toward the plus neighbor.
@@ -89,14 +85,21 @@ func New(s *sim.Simulator, cfg *config.Settings) *Torus {
 			t.LinkBidir(t.Routers[id], t.portPlus(d), t.Routers[nb], t.portMinus(d))
 		}
 	}
-	// Terminals: packets inject on dateline class 0.
-	policy := func(pkt *types.Packet) []int { return class0 }
 	for term := 0; term < numRouters*t.conc; term++ {
-		ifc := t.BuildInterface(term, t.vcs, policy)
+		ifc := t.BuildInterface(term, t.vcs, t.injectionVCs)
 		t.AttachTerminal(ifc, t.Routers[term/t.conc], term%t.conc)
 	}
 	return t
 }
+
+// routingAlg implements routing.Ctor.
+func (t *Torus) routingAlg(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
+	return &dorAlg{t: t, router: routerID}
+}
+
+// injectionVCs implements netiface.InjectionPolicy: packets inject on
+// dateline class 0.
+func (t *Torus) injectionVCs(*types.Packet) []int { return t.class0 }
 
 func (t *Torus) portPlus(d int) int  { return t.conc + 2*d }
 func (t *Torus) portMinus(d int) int { return t.conc + 2*d + 1 }
@@ -127,10 +130,8 @@ func (t *Torus) neighbor(rid, d, dir int) int {
 // direction, and move to the upper half of the VCs after crossing a ring's
 // dateline.
 type dorAlg struct {
-	t              *Torus
-	router         int
-	class0, class1 []int
-	all            []int
+	t      *Torus
+	router int
 }
 
 // Route implements routing.Algorithm.
@@ -139,7 +140,7 @@ func (a *dorAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routin
 	dst := pkt.Msg.Dst
 	dstR := dst / t.conc
 	if a.router == dstR {
-		return routing.Response{Port: dst % t.conc, VCs: a.all}
+		return routing.Response{Port: dst % t.conc, VCs: t.all}
 	}
 	for d := 0; d < len(t.widths); d++ {
 		cc, dc := t.coord(a.router, d), t.coord(dstR, d)
@@ -159,9 +160,9 @@ func (a *dorAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routin
 		if !st.Valid || int(st.Phase) != d {
 			*st = types.RoutingScratch{Valid: true, Phase: int8(d)}
 		}
-		vcs := a.class0
+		vcs := t.class0
 		if st.Dateline || wraps {
-			vcs = a.class1
+			vcs = t.class1
 		}
 		if wraps {
 			st.Dateline = true

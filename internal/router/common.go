@@ -281,8 +281,6 @@ func (b *base) validateResponse(resp routing.Response, pkt *types.Packet) {
 }
 
 // takeDownstreamCredit consumes one downstream credit and updates the sensor.
-//
-//sslint:hotpath
 func (b *base) takeDownstreamCredit(port, vc int) {
 	b.downCred[port][vc]--
 	if b.downCred[port][vc] < 0 {
@@ -295,8 +293,6 @@ func (b *base) takeDownstreamCredit(port, vc int) {
 }
 
 // returnDownstreamCredit restores one downstream credit (on credit arrival).
-//
-//sslint:hotpath
 func (b *base) returnDownstreamCredit(port, vc int) {
 	b.downCred[port][vc]++
 	if b.downCap[port] > 0 && b.downCred[port][vc] > b.downCap[port] {
@@ -310,8 +306,6 @@ func (b *base) returnDownstreamCredit(port, vc int) {
 
 // noteArrival records a flit entering an input buffer with the verifier's
 // buffer ledger; architectures call it from ReceiveFlit.
-//
-//sslint:hotpath
 func (b *base) noteArrival(port, vc int) {
 	if b.bufLed != nil {
 		b.bufLed[port].Arrive(vc)
@@ -322,8 +316,6 @@ func (b *base) noteArrival(port, vc int) {
 }
 
 // sendCreditUpstream releases one input buffer slot back to the sender.
-//
-//sslint:hotpath
 func (b *base) sendCreditUpstream(port, vc int) {
 	cc := b.creditOut[port]
 	if cc == nil {
@@ -340,8 +332,6 @@ func (b *base) sendCreditUpstream(port, vc int) {
 
 // noteRouted counts one flit forwarded, in both the router's own statistic
 // and the telemetry registry.
-//
-//sslint:hotpath
 func (b *base) noteRouted() {
 	b.flitsRouted++
 	if b.tp != nil {
@@ -351,8 +341,6 @@ func (b *base) noteRouted() {
 
 // noteAlloc reports one VC-allocation round to telemetry given the pending
 // client counts before and after the round.
-//
-//sslint:hotpath
 func (b *base) noteAlloc(before, after int) {
 	if b.tp != nil && before > 0 {
 		b.tp.Alloc(before-after, after)
@@ -361,8 +349,6 @@ func (b *base) noteAlloc(before, after int) {
 
 // noteCreditStall counts one cycle in which a flit was ready but the
 // downstream credit pool was empty.
-//
-//sslint:hotpath
 func (b *base) noteCreditStall() {
 	if b.tp != nil {
 		b.tp.CreditStall()
@@ -447,19 +433,14 @@ type delayLine struct {
 }
 
 // push appends a traversal; it panics if completion times go backwards.
-//
-//sslint:hotpath
 func (d *delayLine) push(at sim.Tick, f *types.Flit, port int) {
 	if n := len(d.q); n > d.head && d.q[n-1].at > at {
 		panic("router: delay line completion times must be monotone")
 	}
-	//sslint:allow hotpath — amortized FIFO growth, compacted in pop
 	d.q = append(d.q, flight{at: at, f: f, port: port})
 }
 
 // next returns the earliest pending completion time.
-//
-//sslint:hotpath
 func (d *delayLine) next() (sim.Tick, bool) {
 	if d.head >= len(d.q) {
 		return 0, false
@@ -468,8 +449,6 @@ func (d *delayLine) next() (sim.Tick, bool) {
 }
 
 // pop removes and returns the earliest traversal.
-//
-//sslint:hotpath
 func (d *delayLine) pop() flight {
 	fl := d.q[d.head]
 	d.q[d.head] = flight{}
@@ -494,10 +473,8 @@ type flitQueue struct {
 
 func (q *flitQueue) len() int { return q.n }
 
-//sslint:hotpath
 func (q *flitQueue) push(f *types.Flit) {
 	if q.n == len(q.buf) {
-		//sslint:allow hotpath — amortized ring doubling, bounded by buffer depth
 		grown := make([]*types.Flit, max(4, 2*len(q.buf)))
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
@@ -509,7 +486,6 @@ func (q *flitQueue) push(f *types.Flit) {
 	q.n++
 }
 
-//sslint:hotpath
 func (q *flitQueue) peek() *types.Flit {
 	if q.n == 0 {
 		return nil
@@ -517,7 +493,6 @@ func (q *flitQueue) peek() *types.Flit {
 	return q.buf[q.head]
 }
 
-//sslint:hotpath
 func (q *flitQueue) pop() *types.Flit {
 	if q.n == 0 {
 		return nil

@@ -126,8 +126,6 @@ func (s *inputStage) routeDone(client int) {
 // ride in the inputVC structs. The allocator itself never allocates — it
 // runs every core cycle on every router. A grant whose head flit is tracked
 // by the span recorder closes that flit's vc_alloc segment.
-//
-//sslint:hotpath
 func (s *inputStage) allocateVCs(now sim.Tick) bool {
 	pending, rotate := s.vcPending, s.vcRotate
 	s.vcRotate++
@@ -182,7 +180,6 @@ func (s *inputStage) allocateVCs(now sim.Tick) bool {
 		if iv.granted {
 			iv.granted = false
 		} else {
-			//sslint:allow hotpath — appends into pending[:0], never past its original length
 			kept = append(kept, client)
 		}
 	}

@@ -71,9 +71,7 @@ type eventHeap struct {
 
 func (h *eventHeap) len() int { return len(h.a) }
 
-//sslint:hotpath
 func (h *eventHeap) push(e *Event) {
-	//sslint:allow hotpath — amortized heap growth, bounded by the pending-event high-water mark
 	h.a = append(h.a, heapEntry{tick: e.Time.Tick, eps: e.Time.Eps, owner: e.owner, oseq: e.oseq, ev: e})
 	// sift up
 	a := h.a
@@ -90,7 +88,6 @@ func (h *eventHeap) push(e *Event) {
 	a[i] = item
 }
 
-//sslint:hotpath
 func (h *eventHeap) pop() *Event {
 	a := h.a
 	n := len(a)
@@ -123,7 +120,6 @@ func (h *eventHeap) pop() *Event {
 	return top
 }
 
-//sslint:hotpath
 func (h *eventHeap) peek() *Event {
 	if len(h.a) == 0 {
 		return nil

@@ -12,6 +12,11 @@
 # checks that the benchmark proves allocate nothing. Lower the ceiling when an
 # optimization lands; raising it needs a justification in the PR.
 #
+# The ceiling bounds the aggregate; TestSteadyStateAllocBudget (internal/core)
+# bounds the rate: every golden topology, serial, sharded and with metrics on,
+# must allocate at most 0.05 objects per retired flit once warm. A leak small
+# enough to hide under the ceiling's headroom still fails here.
+#
 # With a second argument of "spans", the guard additionally runs
 # BenchmarkFigure5Spans (span recording at full sampling) and reports its
 # numbers for EXPERIMENTS.md. That run is informational only — the ceiling is
@@ -61,6 +66,9 @@ if [ "$w1_allocs" -gt "$ceiling" ]; then
     exit 1
 fi
 echo "bench-guard: OK — workers=1 path $w1_allocs allocs/op <= ceiling $ceiling"
+
+"$go" test -count=1 -run='^TestSteadyStateAllocBudget$' ./internal/core
+echo "bench-guard: OK — steady-state allocation budget holds on every golden case"
 
 # Sharded tracing cost, informational only: full-sampling flit tracing at
 # workers=2 exercises per-shard lane recording plus the end-of-run stamp

@@ -20,9 +20,10 @@
 #   make sweep-smoke - fleet-observability smoke: a tiny two-point sweep with
 #                  journal, manifests and the live dashboard enabled, every
 #                  downstream consumer (ssparse -tasks, ssplot taskgantt, the
-#                  /sweep and /metrics endpoints) driven over its artifacts,
-#                  then the bench-guard re-run to prove the instrumentation
-#                  kept the disabled hot path under the committed ceiling
+#                  /sweep and /metrics endpoints) driven over its artifacts;
+#                  bench-guard is its prerequisite, so the instrumentation is
+#                  proven to keep the disabled hot path under the committed
+#                  ceiling (once per make invocation, also inside make ci)
 #   make bench-guard - allocation-regression guard: BenchmarkFigure5 (and the
 #                  explicit workers=1 path) with telemetry disabled must stay
 #                  under the ceiling committed in bench_ceiling.txt, and
@@ -34,10 +35,13 @@
 #   make bench-parallel - the Figure 5 transient at -workers 1/2/4 on the
 #                  sharded engine (wall-clock is informational and
 #                  hardware-dependent; results are identical at every count)
+#   make perfbench-check - vet and self-test the benchmark module perfbench/
+#                  (its own Go module, so root `go build/test ./...` never
+#                  compiles it)
 
 GO ?= go
 
-.PHONY: all build vet lint lint-rules test race cover fuzz ci test-import-export bench micro bench-guard bench-guard-spans bench-parallel sweep-smoke
+.PHONY: all build vet lint lint-rules test race cover fuzz ci test-import-export bench micro bench-guard bench-guard-spans bench-parallel sweep-smoke perfbench-check
 
 all: ci
 
@@ -90,15 +94,20 @@ test-import-export:
 	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
-ci: build vet lint test race test-import-export bench-guard sweep-smoke
+ci: build vet lint test race test-import-export bench-guard sweep-smoke perfbench-check
 
 # Fleet-observability smoke: the sweep→journal→manifest→parse→plot→dashboard
-# pipeline end-to-end, then the allocation guard against the unchanged
+# pipeline end-to-end, behind the allocation guard against the unchanged
 # ceiling — observability must stay free when disabled. See
 # scripts/sweep_smoke.sh.
-sweep-smoke:
+sweep-smoke: bench-guard
 	sh scripts/sweep_smoke.sh
-	sh scripts/bench_guard.sh bench_ceiling.txt
+
+# The benchmark module's vet and self-test (all four workloads, about 30 s).
+# Its traced pass runs the simulator with telemetry on, so simulator changes
+# can break it without any root package noticing.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Hot-path allocation guard: the telemetry subsystem's "zero overhead when
 # disabled" claim, enforced. See scripts/bench_guard.sh.

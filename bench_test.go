@@ -7,9 +7,7 @@
 //	SUPERSIM_FULL=1 go test -bench=Figure9b    # paper-scale (hours)
 //
 // Profiling: the standard go test flags produce pprof profiles of any
-// benchmark (go test -bench=Figure5 -cpuprofile=cpu.out -memprofile=mem.out),
-// and SUPERSIM_MONITOR=N attaches a sim.ProgressMonitor to every simulation,
-// printing an events/sec + heap line to stderr every N executed events.
+// benchmark (go test -bench=Figure5 -cpuprofile=cpu.out -memprofile=mem.out).
 //
 // See EXPERIMENTS.md for the recorded outputs and paper-vs-measured notes.
 package supersim_test
@@ -19,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"strconv"
 	"testing"
 
 	"fmt"
@@ -39,12 +36,10 @@ func opts(b *testing.B) experiments.Options {
 	if testing.Verbose() {
 		out = os.Stderr
 	}
-	monitor, _ := strconv.ParseUint(os.Getenv("SUPERSIM_MONITOR"), 10, 64)
 	return experiments.Options{
-		Full:         os.Getenv("SUPERSIM_FULL") == "1",
-		Seed:         1,
-		Out:          out,
-		MonitorEvery: monitor,
+		Full: os.Getenv("SUPERSIM_FULL") == "1",
+		Seed: 1,
+		Out:  out,
 	}
 }
 

@@ -15,9 +15,11 @@
 // application's latency statistics is printed on completion.
 //
 // Performance work is measured, not guessed: -cpuprofile and -memprofile
-// write standard pprof profiles of the run, and -monitor N prints an
-// events/sec + heap usage progress line to stderr every N executed events
-// (also exported through the supersim.* expvar gauges).
+// write standard pprof profiles of the run, and -monitor prints a progress
+// line (tick, events, events/sec, ticks/sec, heap, ETA) to stderr every
+// -telemetry-bin ticks and when the run ends — the same document
+// -telemetry-addr serves at /progress. It needs no telemetry and also works
+// with -restore.
 //
 // The telemetry subsystem (see OBSERVABILITY.md) is controlled by flags that
 // map onto simulation.telemetry.* settings: -telemetry enables the metric
@@ -26,10 +28,10 @@
 // lifecycles sampled at -trace-sample, -spans <f> writes per-message latency
 // decompositions (spans JSONL, see ssparse -spans and ssplot -plot breakdown)
 // sampled at -spans-sample, and -telemetry-addr <host:port> serves live run
-// introspection (/metrics Prometheus text, /progress JSON, /debug/pprof,
-// /debug/vars) while the simulation executes. Modifier flags set without the
-// flag they modify (-trace-sample without -trace, -spans-sample without
-// -spans, -telemetry-bin with no telemetry consumer) are rejected up front.
+// introspection (/metrics Prometheus text, /progress JSON, /debug/pprof)
+// while the simulation executes. Modifier flags set without the flag they
+// modify (-trace-sample without -trace, -spans-sample without -spans,
+// -telemetry-bin with neither telemetry nor -monitor) are rejected up front.
 //
 // -workers N executes the simulation on N parallel shards coordinated by the
 // conservative lookahead engine (see DESIGN.md); results are byte-identical
@@ -62,6 +64,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -73,6 +76,7 @@ import (
 	"supersim/internal/sim"
 	"supersim/internal/ssparse"
 	"supersim/internal/stats"
+	"supersim/internal/telemetry"
 )
 
 func main() {
@@ -80,11 +84,11 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	monitor := flag.Uint64("monitor", 0, "report events/sec and heap every N executed events (0 disables)")
+	monitor := flag.Bool("monitor", false, "print a progress line (events/sec, ticks/sec, heap, ETA) to stderr every -telemetry-bin ticks")
 	verifyRun := flag.Bool("verify", false, "enable runtime invariant verification (flit/credit conservation, aliasing sentinel, progress watchdog)")
 	telemetryOn := flag.Bool("telemetry", false, "enable the telemetry metrics registry")
 	telemetryFile := flag.String("telemetry-file", "", "write time-binned telemetry snapshots (JSONL) to this file (implies -telemetry)")
-	telemetryBin := flag.Uint64("telemetry-bin", 1000, "telemetry snapshot bin width in ticks")
+	telemetryBin := flag.Uint64("telemetry-bin", 1000, "telemetry snapshot and -monitor bin width in ticks")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live introspection HTTP on this address (implies -telemetry)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of flit lifecycles to this file (implies -telemetry)")
 	traceSample := flag.Float64("trace-sample", 1.0, "fraction of messages to trace, 0..1")
@@ -132,10 +136,9 @@ func main() {
 	if flag.NArg() > 1 {
 		overrides = flag.Args()[1:]
 	}
-	err := run(flag.Arg(0), overrides, runOpts{
+	opts := runOpts{
 		logPath:         *logPath,
 		quiet:           *quiet,
-		monitor:         *monitor,
 		verify:          *verifyRun,
 		telemetry:       *telemetryOn,
 		telemetryFile:   *telemetryFile,
@@ -152,7 +155,11 @@ func main() {
 		restorePath:     *restorePath,
 		manifestPath:    *manifestPath,
 		flags:           flagVals,
-	})
+	}
+	if *monitor {
+		opts.monitor = os.Stderr
+	}
+	err := run(flag.Arg(0), overrides, opts)
 	if *memProfile != "" {
 		if werr := writeMemProfile(*memProfile); werr != nil && err == nil {
 			err = werr
@@ -197,7 +204,7 @@ func writeMemProfile(path string) error {
 type runOpts struct {
 	logPath       string
 	quiet         bool
-	monitor       uint64
+	monitor       io.Writer // receives -monitor progress lines; nil disables
 	verify        bool
 	telemetry     bool
 	telemetryFile string
@@ -231,8 +238,8 @@ func validateFlags(set map[string]bool, workers uint) error {
 	}
 	if set["telemetry-bin"] &&
 		!set["telemetry"] && !set["telemetry-file"] && !set["telemetry-addr"] &&
-		!set["trace"] && !set["spans"] {
-		return fmt.Errorf("-telemetry-bin has no effect without -telemetry, -telemetry-file, -telemetry-addr, -trace, or -spans")
+		!set["trace"] && !set["spans"] && !set["monitor"] {
+		return fmt.Errorf("-telemetry-bin has no effect without -telemetry, -telemetry-file, -telemetry-addr, -trace, -spans, or -monitor")
 	}
 	if set["checkpoint-every"] && !set["checkpoint-file"] {
 		return fmt.Errorf("-checkpoint-every requires -checkpoint-file")
@@ -280,6 +287,10 @@ func (o *runOpts) apply(cfg *config.Settings) error {
 		o.telemetry = true
 	}
 	if !o.telemetry {
+		if _, binSet := o.flags["telemetry-bin"]; binSet {
+			// -monitor without telemetry: the bin is its cadence.
+			return cfg.ApplyOverride(fmt.Sprintf("simulation.telemetry.bin=uint=%d", o.telemetryBin))
+		}
 		return nil
 	}
 	ov := []string{
@@ -339,12 +350,8 @@ func run(cfgPath string, overrides []string, o runOpts) error {
 		}
 	}
 	cfg := sm.Config()
-	if o.monitor > 0 {
-		pm := &sim.ProgressMonitor{
-			Out:     os.Stderr,
-			EndTick: sim.Tick(cfg.UIntOr("simulation.monitor_end_tick", 0)),
-		}
-		pm.Attach(sm.Sim, o.monitor)
+	if o.monitor != nil {
+		sm.Monitor(func(p telemetry.Progress) { fmt.Fprintln(o.monitor, p) })
 	}
 	if o.telemetryAddr != "" && sm.Telemetry != nil {
 		sm.Telemetry.Serve(o.telemetryAddr, func(err error) {

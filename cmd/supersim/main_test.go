@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,6 +41,7 @@ func TestValidateFlags(t *testing.T) {
 		{"bin with telemetry-addr", setOf("telemetry-bin", "telemetry-addr"), 1, ""},
 		{"bin with trace", setOf("telemetry-bin", "trace"), 1, ""},
 		{"bin with spans", setOf("telemetry-bin", "spans"), 1, ""},
+		{"bin with monitor", setOf("telemetry-bin", "monitor"), 1, ""},
 		{"workers serial with trace", setOf("trace", "workers"), 1, ""},
 		{"workers parallel", setOf("workers"), 4, ""},
 		{"workers parallel with telemetry", setOf("workers", "telemetry"), 4, ""},
@@ -57,6 +59,10 @@ func TestValidateFlags(t *testing.T) {
 		{"restore with verify", setOf("restore", "verify"), 1, "-verify"},
 		{"restore with telemetry", setOf("restore", "telemetry"), 1, "-telemetry"},
 		{"restore with spans", setOf("restore", "spans"), 1, "-spans"},
+		// -monitor only observes; its cadence after a restore is the
+		// snapshot's bin, which -telemetry-bin may not change.
+		{"restore with monitor", setOf("restore", "monitor"), 1, ""},
+		{"restore with monitor and bin", setOf("restore", "monitor", "telemetry-bin"), 1, "-telemetry-bin"},
 		{"manifest alone", setOf("manifest"), 1, ""},
 		// -manifest is output-only: it records the run, never changes it, so it
 		// is valid even on the restore path.
@@ -130,14 +136,34 @@ func TestApplyWithoutSpansLeavesSettingsUnset(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointAndRestore drives the full run() path with checkpointing
-// enabled, then restores the final snapshot and runs the continuation — the
-// CLI wiring for the import/export machinery proven in internal/core.
-func TestRunCheckpointAndRestore(t *testing.T) {
-	dir := t.TempDir()
-	cfgPath := filepath.Join(dir, "cfg.json")
-	snapPath := filepath.Join(dir, "snap.ssim")
-	doc := `{
+// TestApplyMonitorBin: without telemetry, an explicit -telemetry-bin sets the
+// -monitor cadence and enables nothing else; left at its default it leaves
+// the settings (and so the manifest's config hash) untouched.
+func TestApplyMonitorBin(t *testing.T) {
+	cfg := config.New()
+	o := runOpts{monitor: io.Discard, telemetryBin: 250, traceSample: 1.0,
+		flags: map[string]string{"monitor": "true", "telemetry-bin": "250"}}
+	if err := o.apply(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg.UIntOr("simulation.telemetry.bin", 0); got != 250 {
+		t.Fatalf("simulation.telemetry.bin = %d, want 250", got)
+	}
+	if cfg.Has("simulation.telemetry.enabled") {
+		t.Fatal("-monitor must not enable telemetry")
+	}
+	cfg = config.New()
+	o.flags = map[string]string{"monitor": "true"}
+	if err := o.apply(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Has("simulation.telemetry.bin") {
+		t.Fatal("-monitor without -telemetry-bin must leave the bin unset")
+	}
+}
+
+// smallTorusDoc is a 2x2 torus blast run that drains in a few hundred ticks.
+const smallTorusDoc = `{
 	  "simulation": {"seed": 11, "verify": {"enabled": true}},
 	  "network": {
 	    "topology": "torus",
@@ -159,7 +185,68 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 	    }]
 	  }
 	}`
-	if err := os.WriteFile(cfgPath, []byte(doc), 0o644); err != nil {
+
+// TestRunMonitorWithoutTelemetryAndAfterRestore drives -monitor through run()
+// with telemetry off: it prints one progress line per bin and a final
+// "finished" line, and a restored continuation does the same from the
+// checkpoint tick and finishes on the same tick and event count.
+func TestRunMonitorWithoutTelemetryAndAfterRestore(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "cfg.json")
+	snapPath := filepath.Join(dir, "snap.ssim")
+	if err := os.WriteFile(cfgPath, []byte(smallTorusDoc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lines := func(out *bytes.Buffer) []string {
+		return strings.Split(strings.TrimSpace(out.String()), "\n")
+	}
+	var first bytes.Buffer
+	err := run(cfgPath, nil, runOpts{
+		quiet: true, monitor: &first, telemetryBin: 100, traceSample: 1.0,
+		checkpointEvery: 200, checkpointFile: snapPath,
+		flags: map[string]string{"monitor": "true", "telemetry-bin": "100"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := lines(&first)
+	if len(got) < 3 || !strings.HasPrefix(got[0], "progress: tick=100 events=") ||
+		!strings.HasPrefix(got[1], "progress: tick=200 events=") {
+		t.Fatalf("monitor lines:\n%s", first.String())
+	}
+	final := got[len(got)-1]
+	if !strings.HasPrefix(final, "finished: tick=") {
+		t.Fatalf("last monitor line %q, want the finished line", final)
+	}
+
+	// The snapshot holds the last checkpoint; its continuation reports from
+	// there on and ends exactly where the uninterrupted run did.
+	var restored bytes.Buffer
+	err = run("", nil, runOpts{
+		quiet: true, monitor: &restored, telemetryBin: 1000, traceSample: 1.0,
+		restorePath: snapPath,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rgot := lines(&restored)
+	if len(rgot) < 2 || !strings.HasPrefix(rgot[0], "progress: tick=") {
+		t.Fatalf("restored monitor lines:\n%s", restored.String())
+	}
+	endOf := func(line string) string { return strings.Join(strings.Fields(line)[:3], " ") }
+	if rfinal := rgot[len(rgot)-1]; endOf(rfinal) != endOf(final) {
+		t.Fatalf("restored run finished %q, uninterrupted run %q", endOf(rfinal), endOf(final))
+	}
+}
+
+// TestRunCheckpointAndRestore drives the full run() path with checkpointing
+// enabled, then restores the final snapshot and runs the continuation — the
+// CLI wiring for the import/export machinery proven in internal/core.
+func TestRunCheckpointAndRestore(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "cfg.json")
+	snapPath := filepath.Join(dir, "snap.ssim")
+	if err := os.WriteFile(cfgPath, []byte(smallTorusDoc), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err := run(cfgPath, nil, runOpts{

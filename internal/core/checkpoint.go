@@ -88,11 +88,6 @@ func (sm *Simulation) handlers(fn func(keyed) error) error {
 			return err
 		}
 	}
-	if sm.Telemetry != nil {
-		if err := add("telemetry", sm.Telemetry); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -131,14 +126,7 @@ func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 
 	// Partition-independent progress totals: the per-shard split of executed
 	// events depends on the worker count, so only the run-wide sums are state.
-	var executed uint64
-	var last sim.Time
-	for _, s := range sm.sims() {
-		executed += s.Executed()
-		if last.Before(s.LastWork()) {
-			last = s.LastWork()
-		}
-	}
+	executed, last := sm.totals()
 	e.Section(secTime)
 	e.U64(uint64(tick))
 	e.U64(executed)
@@ -400,57 +388,4 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 		sm.engine.SeedCommit(tick)
 	}
 	return sm, tick, nil
-}
-
-// RunCheckpointed executes the simulation to completion like Run, pausing at
-// every multiple of `every` ticks while real work remains to hand a snapshot
-// to sink. The checkpoint boundaries are invisible to the simulation — a
-// checkpointed run's results are identical to an uninterrupted one's — and
-// sink errors abort the run.
-func (sm *Simulation) RunCheckpointed(every sim.Tick, sink func(tick sim.Tick, data []byte) error) (Result, error) {
-	if every == 0 {
-		return Result{}, fmt.Errorf("core: checkpoint interval must be positive")
-	}
-	if sm.Telemetry != nil {
-		defer sm.Telemetry.Close()
-	}
-	checkpoint := func(at sim.Tick) error {
-		data, err := sm.Snapshot(at)
-		if err != nil {
-			return err
-		}
-		return sink(at, data)
-	}
-	var events uint64
-	var end sim.Time
-	if sm.engine != nil {
-		for at := every; ; at += every {
-			sm.engine.RunUntil(at)
-			sm.engine.DrainCross()
-			if sm.engine.Stopped() || sm.engine.Quiesced() {
-				break
-			}
-			if err := checkpoint(at); err != nil {
-				return Result{}, err
-			}
-		}
-		sm.engine.RunUntil(^sim.Tick(0))
-		events, end = sm.engine.Finish()
-	} else {
-		for at := every; ; at += every {
-			sm.Sim.RunUntil(at)
-			if sm.Sim.Stopped() || sm.Sim.PendingNonDaemon() == 0 {
-				break
-			}
-			if err := checkpoint(at); err != nil {
-				return Result{}, err
-			}
-		}
-		// Trailing daemon events and the final monitor flush, exactly as an
-		// un-checkpointed serial Run would.
-		sm.Sim.Run()
-		events = sm.Sim.Executed()
-		end = sm.Sim.LastWork()
-	}
-	return sm.verifyOutcome(events, end)
 }

@@ -54,6 +54,12 @@ type Simulation struct {
 	// checkpoints can embed it (a snapshot restores by rebuilding the identical
 	// component graph and overwriting its state).
 	cfg *config.Settings
+
+	// bin is the observation bin (simulation.telemetry.bin); monitor, when
+	// set, receives the run's progress at every bin. See run.
+	bin sim.Tick
+	//sslint:nosnapshot — host-side progress sink, attached by the driver after Build or Restore
+	monitor func(telemetry.Progress)
 }
 
 // Config returns the settings document the simulation was built from. For a
@@ -67,19 +73,6 @@ func (sm *Simulation) Config() *config.Settings { return sm.cfg }
 func Build(cfg *config.Settings) *Simulation {
 	seed := cfg.UIntOr("simulation.seed", 1)
 	s := sim.NewSimulator(seed)
-	// Opt-in progress reporting: "simulation": {"monitor_interval": N} emits
-	// an events/sec + heap line to stderr (and the supersim.* expvar gauges)
-	// every N executed events. Reporting is observation-only and cannot
-	// perturb determinism.
-	// simulation.monitor_end_tick, when the driver knows the run's horizon,
-	// adds an ETA to each progress line.
-	if mi := cfg.UIntOr("simulation.monitor_interval", 0); mi > 0 {
-		pm := &sim.ProgressMonitor{
-			Out:     os.Stderr,
-			EndTick: sim.Tick(cfg.UIntOr("simulation.monitor_end_tick", 0)),
-		}
-		pm.Attach(s, mi)
-	}
 	// Opt-in invariant verification: "simulation": {"verify": {"enabled": true}}
 	// attaches the runtime checker before any component is constructed, so
 	// every interface, channel, and router picks it up via verify.For.
@@ -94,11 +87,10 @@ func Build(cfg *config.Settings) *Simulation {
 	// channels, routers, interfaces and the workload pick up their probes via
 	// the telemetry.For* constructors. Like verification it is observation-
 	// only: traffic results are identical with it on or off.
+	bin := sim.Tick(cfg.UIntOr("simulation.telemetry.bin", 1000))
 	var tel *telemetry.Telemetry
 	if cfg.BoolOr("simulation.telemetry.enabled", false) {
-		opts := telemetry.Options{
-			BinTicks: sim.Tick(cfg.UIntOr("simulation.telemetry.bin", 1000)),
-		}
+		opts := telemetry.Options{BinTicks: bin}
 		if path := cfg.StringOr("simulation.telemetry.snapshot_file", ""); path != "" {
 			f, err := os.Create(path)
 			if err != nil {
@@ -148,7 +140,7 @@ func Build(cfg *config.Settings) *Simulation {
 		// pointers (aliasing bugs) are caught by the generation sentinel.
 		w.Pool().SetObserver(v)
 	}
-	sm := &Simulation{Sim: s, Net: net, Workload: w, Verify: v, Telemetry: tel, cfg: cfg}
+	sm := &Simulation{Sim: s, Net: net, Workload: w, Verify: v, Telemetry: tel, cfg: cfg, bin: bin}
 	// Opt-in parallel execution: "simulation": {"workers": N} partitions the
 	// routers across N-1 shards coordinated by the conservative engine, with
 	// results byte-identical to the serial path (workers <= 1, the default).
@@ -168,41 +160,7 @@ func BuildE(cfg *config.Settings) (sm *Simulation, err error) {
 	return Build(cfg), nil
 }
 
-// Result summarizes a completed run.
-type Result struct {
-	Events  uint64   // non-daemon events executed
-	EndTick sim.Tick // time of the last non-daemon event — the logical end
-	Drained bool     // the workload reached the draining phase
-}
-
-// Run executes the simulation until the event queue runs empty and verifies
-// the workload protocol completed. It returns an error when the queue
-// drained in an earlier phase, which indicates stalled traffic (for example
-// a deadlock or a misconfigured application).
-func (sm *Simulation) Run() (Result, error) {
-	if sm.Telemetry != nil {
-		// Final snapshot bin, stream flush, and trace termination happen even
-		// when the run errors out — a truncated trace of a stalled run is
-		// exactly what the diagnosis needs.
-		defer sm.Telemetry.Close()
-	}
-	var events uint64
-	var end sim.Time
-	if sm.engine != nil {
-		events, end = sm.engine.Run()
-	} else {
-		// Cumulative rather than this call's delta: a restored simulation
-		// resumes with the checkpoint's executed-event total already seeded,
-		// and its final count must match the uninterrupted run's.
-		sm.Sim.Run()
-		events = sm.Sim.Executed()
-		end = sm.Sim.LastWork()
-	}
-	return sm.verifyOutcome(events, end)
-}
-
-// verifyOutcome assembles the Result and runs the post-drain checks shared by
-// Run and RunCheckpointed.
+// verifyOutcome assembles the Result and runs the post-drain checks.
 func (sm *Simulation) verifyOutcome(events uint64, end sim.Time) (Result, error) {
 	res := Result{
 		Events:  events,

@@ -4,11 +4,10 @@
 // The partition is topology-aware but workload-agnostic:
 //
 //   - Shard 0 (the "host" shard) keeps the workload, all applications, all
-//     interfaces, the message pool, and every daemon observer (verify
-//     watchdog, telemetry snapshots, progress monitor). These components are
-//     coupled synchronously — message demux, the four-phase handshake, and
-//     pool recycling all run as plain calls with zero latency — so they must
-//     share one event queue.
+//     interfaces, the message pool, and every daemon observer (the verify
+//     watchdog). These components are coupled synchronously — message
+//     demux, the four-phase handshake, and pool recycling all run as plain
+//     calls with zero latency — so they must share one event queue.
 //   - Router shards 1..N-1 each own a contiguous slice of routers (or whole
 //     topology groups when the network implements network.Grouped) plus all
 //     channels delivering into them.

@@ -75,7 +75,7 @@ func TestSpanDecompositionExact(t *testing.T) {
 	for _, arch := range archs {
 		t.Run(arch.name, func(t *testing.T) {
 			spansPath := filepath.Join(t.TempDir(), "spans.jsonl")
-			_, _, _, sm := runForSamples(t, spansDoc(arch.router), []string{
+			_, _, _, sm, _ := runForSamples(t, spansDoc(arch.router), []string{
 				"simulation.telemetry.enabled=bool=true",
 				"simulation.telemetry.spans_file=string=" + spansPath,
 				"simulation.telemetry.spans_sample=float=1.0",

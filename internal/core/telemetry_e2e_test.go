@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"supersim/internal/config"
@@ -18,14 +19,15 @@ import (
 // runForSamples builds and runs one simulation from doc (plus overrides) and
 // returns the sampled-transaction log bytes — the full per-message record
 // stream ssparse consumes — plus the flit conservation totals.
-func runForSamples(t *testing.T, doc string, overrides []string) (sampleLog []byte, injected, retired uint64, sm *Simulation) {
+func runForSamples(t *testing.T, doc string, overrides []string) (sampleLog []byte, injected, retired uint64, sm *Simulation, res Result) {
 	t.Helper()
 	cfg := config.MustParse(doc)
 	if err := cfg.ApplyOverrides(overrides); err != nil {
 		t.Fatal(err)
 	}
 	sm = Build(cfg)
-	if _, err := sm.Run(); err != nil {
+	res, err := sm.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	blast := sm.Workload.App(0).(*apps.Blast)
@@ -33,18 +35,16 @@ func runForSamples(t *testing.T, doc string, overrides []string) (sampleLog []by
 	if err := ssparse.Write(&buf, blast.Stats().Samples()); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), sm.Verify.Injected(), sm.Verify.Retired(), sm
+	return buf.Bytes(), sm.Verify.Injected(), sm.Verify.Retired(), sm, res
 }
 
 // TestTelemetryObservationOnly is the end-to-end determinism gate for the
 // telemetry subsystem: the same seeded simulation run with snapshotting and
 // flit tracing fully enabled must produce a byte-identical sampled-transaction
 // log (every message's create/receive times, latencies, and hop counts) and
-// identical flit conservation totals as the run with telemetry disabled.
-//
-// Event counts and the final tick are deliberately NOT compared: telemetry's
-// periodic snapshot is a daemon event, so the executed-event total includes it
-// by design. What must not move is anything the simulation computes.
+// identical flit conservation totals and Result as the run with telemetry
+// disabled. Telemetry schedules no events — bins are taken at run barriers —
+// so even the executed-event count and the final tick must not move.
 func TestTelemetryObservationOnly(t *testing.T) {
 	gc := goldenCases()[0] // torus tornado, verification enabled
 	dir := t.TempDir()
@@ -55,8 +55,8 @@ func TestTelemetryObservationOnly(t *testing.T) {
 	// Both runs have verification on (gc.doc), so the stall diagnostician is
 	// armed behind the watchdog in each; the instrumented run additionally
 	// enables snapshotting, tracing, and span recording together.
-	base, baseInj, baseRet, _ := runForSamples(t, gc.doc, nil)
-	tele, teleInj, teleRet, sm := runForSamples(t, gc.doc, []string{
+	base, baseInj, baseRet, _, baseRes := runForSamples(t, gc.doc, nil)
+	tele, teleInj, teleRet, sm, teleRes := runForSamples(t, gc.doc, []string{
 		"simulation.telemetry.enabled=bool=true",
 		"simulation.telemetry.bin=uint=250",
 		"simulation.telemetry.snapshot_file=string=" + snapPath,
@@ -76,6 +76,9 @@ func TestTelemetryObservationOnly(t *testing.T) {
 	if baseInj != teleInj || baseRet != teleRet {
 		t.Errorf("flit conservation totals differ: off=%d/%d on=%d/%d",
 			baseInj, baseRet, teleInj, teleRet)
+	}
+	if baseRes != teleRes {
+		t.Errorf("Result differs: off=%+v on=%+v", baseRes, teleRes)
 	}
 
 	// The telemetry run must also have produced usable artifacts: a parseable
@@ -172,14 +175,17 @@ func stripEngineLines(prom []byte) []byte {
 
 // TestShardedObserversByteIdentical is the tentpole gate for shard-aware
 // observability: on every golden topology, the Chrome trace JSON, the spans
-// JSONL stream, the sampled-transaction log, and the Prometheus exposition
-// (minus the engine_* self-metrics) of a parallel run at workers {2,4} must
-// be byte-identical to the serial run. Per-shard recording lanes tagged with
-// partition-independent event stamps, merged at seal time, are what makes
-// this hold.
+// JSONL stream, the sampled-transaction log, the periodic JSONL snapshot
+// stream at bin 500 and the Prometheus exposition (both minus the engine_*
+// self-metrics, which carry wall-clock and schedule-dependent values) of a
+// parallel run at workers {2,4} must be byte-identical to the serial run.
+// Per-shard recording lanes tagged with partition-independent event stamps,
+// merged at seal time, and bins taken at run barriers are what makes this
+// hold. At every worker count the final progress document must agree with
+// the run's Result.
 func TestShardedObserversByteIdentical(t *testing.T) {
 	type artifacts struct {
-		log, trace, spans, prom []byte
+		log, trace, spans, snaps, prom []byte
 	}
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
@@ -187,8 +193,11 @@ func TestShardedObserversByteIdentical(t *testing.T) {
 				dir := t.TempDir()
 				tracePath := filepath.Join(dir, "trace.json")
 				spansPath := filepath.Join(dir, "spans.jsonl")
+				snapPath := filepath.Join(dir, "telemetry.jsonl")
 				ov := []string{
 					"simulation.telemetry.enabled=bool=true",
+					"simulation.telemetry.bin=uint=500",
+					"simulation.telemetry.snapshot_file=string=" + snapPath,
 					"simulation.telemetry.trace_file=string=" + tracePath,
 					"simulation.telemetry.trace_sample=float=0.5",
 					"simulation.telemetry.spans_file=string=" + spansPath,
@@ -197,7 +206,11 @@ func TestShardedObserversByteIdentical(t *testing.T) {
 				if workers > 1 {
 					ov = append(ov, fmt.Sprintf("simulation.workers=uint=%d", workers))
 				}
-				log, _, _, sm := runForSamples(t, gc.doc, ov)
+				log, _, _, sm, res := runForSamples(t, gc.doc, ov)
+				if p := sm.Telemetry.ProgressDoc(); p.Tick != uint64(res.EndTick) || p.Events != res.Events {
+					t.Errorf("workers=%d final progress tick=%d events=%d, Result end=%d events=%d",
+						workers, p.Tick, p.Events, res.EndTick, res.Events)
+				}
 				if workers > 1 {
 					if sm.Shards == nil {
 						t.Fatalf("workers=%d did not produce a parallel partition", workers)
@@ -225,6 +238,10 @@ func TestShardedObserversByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				snaps, err := os.ReadFile(snapPath)
+				if err != nil {
+					t.Fatal(err)
+				}
 				var pb bytes.Buffer
 				if err := sm.Telemetry.Registry().WritePrometheus(&pb); err != nil {
 					t.Fatal(err)
@@ -232,10 +249,11 @@ func TestShardedObserversByteIdentical(t *testing.T) {
 				if workers > 1 && !bytes.Contains(pb.Bytes(), []byte("engine_windows")) {
 					t.Error("parallel exposition is missing engine_* metrics")
 				}
-				return artifacts{log: log, trace: trace, spans: spans, prom: stripEngineLines(pb.Bytes())}
+				return artifacts{log: log, trace: trace, spans: spans,
+					snaps: stripEngineLines(snaps), prom: stripEngineLines(pb.Bytes())}
 			}
 			serial := run(1)
-			if len(serial.trace) == 0 || len(serial.spans) == 0 {
+			if len(serial.trace) == 0 || len(serial.spans) == 0 || len(serial.snaps) == 0 {
 				t.Fatal("serial run produced empty observer streams")
 			}
 			for _, w := range []int{2, 4} {
@@ -245,6 +263,9 @@ func TestShardedObserversByteIdentical(t *testing.T) {
 				}
 				if !bytes.Equal(serial.spans, par.spans) {
 					t.Errorf("workers=%d spans differ from serial (%d vs %d bytes)", w, len(par.spans), len(serial.spans))
+				}
+				if !bytes.Equal(serial.snaps, par.snaps) {
+					t.Errorf("workers=%d snapshot stream (minus engine_*) differs from serial", w)
 				}
 				if !bytes.Equal(serial.log, par.log) {
 					t.Errorf("workers=%d sampled-transaction log differs from serial", w)
@@ -325,7 +346,7 @@ func TestEngineMetricsCheckpointRestore(t *testing.T) {
 // with the simulation that produced it.
 func TestTelemetryProgressDoc(t *testing.T) {
 	gc := goldenCases()[0]
-	_, _, _, sm := runForSamples(t, gc.doc, []string{
+	_, _, _, sm, _ := runForSamples(t, gc.doc, []string{
 		"simulation.telemetry.enabled=bool=true",
 		"simulation.telemetry.bin=uint=500",
 	})
@@ -335,5 +356,50 @@ func TestTelemetryProgressDoc(t *testing.T) {
 	}
 	if p.Tick == 0 || p.Events == 0 || p.Metrics == 0 {
 		t.Fatalf("progress document not populated: %+v", p)
+	}
+}
+
+// TestTelemetryStreamErrorsReturned points each telemetry output stream at a
+// device that rejects every write: the run must return an error naming the
+// stream, never nil and never a panic, both serially and sharded.
+func TestTelemetryStreamErrorsReturned(t *testing.T) {
+	const full = "/dev/full"
+	if _, err := os.Stat(full); err != nil {
+		t.Skipf("%s not available: %v", full, err)
+	}
+	gc := goldenCases()[0]
+	for _, stream := range []struct{ key, name string }{
+		{"snapshot_file", "snapshot stream"},
+		{"trace_file", "trace stream"},
+		{"spans_file", "spans stream"},
+	} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", stream.key, workers), func(t *testing.T) {
+				cfg := config.MustParse(gc.doc)
+				if err := cfg.ApplyOverrides([]string{
+					"simulation.telemetry.enabled=bool=true",
+					"simulation.telemetry." + stream.key + "=string=" + full,
+					fmt.Sprintf("simulation.workers=uint=%d", workers),
+				}); err != nil {
+					t.Fatal(err)
+				}
+				sm := Build(cfg)
+				var err error
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("run panicked: %v", r)
+						}
+					}()
+					_, err = sm.Run()
+				}()
+				if err == nil {
+					t.Fatalf("run writing %s to %s returned nil", stream.key, full)
+				}
+				if !strings.Contains(err.Error(), stream.name) {
+					t.Fatalf("error %q does not name the %s", err, stream.name)
+				}
+			})
+		}
 	}
 }

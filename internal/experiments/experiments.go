@@ -29,12 +29,6 @@ type Options struct {
 	Seed uint64    // base PRNG seed
 	Out  io.Writer // progress/table output; nil silences
 
-	// MonitorEvery, when positive, attaches a sim.ProgressMonitor to every
-	// simulation the experiment runs, reporting events/sec and heap usage to
-	// stderr every MonitorEvery executed events. The bench harness wires
-	// SUPERSIM_MONITOR to this.
-	MonitorEvery uint64
-
 	// SpansSample, when positive, enables telemetry with span recording at
 	// that sample fraction (fold-only: spans feed the registry histograms, no
 	// JSONL stream). BenchmarkFigure5Spans uses this to measure the
@@ -72,9 +66,6 @@ func (o Options) seed() uint64 {
 
 // prep applies option-driven simulation settings to an experiment config.
 func (o Options) prep(cfg *config.Settings) *config.Settings {
-	if o.MonitorEvery > 0 {
-		cfg.Set("simulation.monitor_interval", o.MonitorEvery)
-	}
 	if o.SpansSample > 0 {
 		cfg.Set("simulation.telemetry.enabled", true)
 		cfg.Set("simulation.telemetry.spans_sample", o.SpansSample)

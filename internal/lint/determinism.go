@@ -35,23 +35,20 @@ var DefaultSimCorePackages = []string{
 }
 
 // DefaultWallClockAllow lists file-path suffixes exempt from the wall-clock
-// check: the progress monitor reads time.Now to report ticks/sec and ETA,
-// which is presentation-only and never feeds simulation state.
+// check.
 var DefaultWallClockAllow = []string{
-	"internal/sim/progress.go",
 	// taskrun's injectable-clock seam: WallClock() is the package's only
 	// time.Now read; journals under test use FixedClock instead.
 	"taskrun/clock.go",
 }
 
 // DefaultConcurrencyAllow lists file-path suffixes exempt from the
-// concurrency check: the conservative parallel engine, whose goroutines are
-// the one sanctioned concurrency in sim-core (its determinism is proven by
-// the serial/parallel conformance oracle, not by absence of threads), and the
-// progress monitor's expvar once-guard (observation-only).
+// goroutine check here and from shardsafety's sync-use check: the
+// conservative parallel engine, whose goroutines are the one sanctioned
+// concurrency in sim-core (its determinism is proven by the serial/parallel
+// conformance oracle, not by absence of threads).
 var DefaultConcurrencyAllow = []string{
 	"internal/sim/parallel.go",
-	"internal/sim/progress.go",
 	// The task runner's scheduler: one mutex + cond and one goroutine per
 	// running task, with every probe call serialized under the lock (the
 	// journal race test enforces the discipline).
@@ -68,10 +65,10 @@ var DefaultConcurrencyAllow = []string{
 //     its body is provably order-insensitive: commutative accumulation
 //     (x++, x += e, x |= e, ...), deletes, or writes to another map keyed by
 //     the iteration key. Everything else must iterate over sorted keys.
-//   - no ad-hoc concurrency: goroutine launches and imports of sync or
-//     sync/atomic are confined to the conservative parallel engine
-//     (internal/sim/parallel.go). Anywhere else in sim-core, shared-memory
-//     concurrency makes event order depend on the goroutine schedule.
+//   - no ad-hoc goroutines: launches are confined to the conservative
+//     parallel engine (internal/sim/parallel.go). Anywhere else in sim-core,
+//     concurrency makes event order depend on the goroutine schedule. Uses
+//     of sync and sync/atomic are the shardsafety rule's to report.
 type Determinism struct {
 	// SimCore holds the import-path prefixes the rule applies to.
 	SimCore []string
@@ -79,7 +76,7 @@ type Determinism struct {
 	// check (observation-only reporters).
 	WallClockAllow []string
 	// ConcurrencyAllow holds file-path suffixes exempt from the goroutine
-	// and sync-import checks (the sanctioned synchronizer).
+	// check (the sanctioned synchronizer).
 	ConcurrencyAllow []string
 }
 
@@ -131,19 +128,6 @@ func (a *Determinism) Check(p *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range p.Files {
 		allowConc := a.concurrencyAllowed(p.Position(f.Pos()).Filename)
-		if !allowConc {
-			for _, imp := range f.Imports {
-				switch imp.Path.Value {
-				case `"sync"`, `"sync/atomic"`:
-					diags = append(diags, Diagnostic{
-						Rule: RuleDeterminism, Pos: p.Position(imp.Pos()),
-						Message: fmt.Sprintf(
-							"import of %s in sim-core package %s — shared-memory concurrency belongs in the conservative engine (internal/sim/parallel.go)",
-							imp.Path.Value, p.ImportPath),
-					})
-				}
-			}
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.SelectorExpr:

@@ -29,6 +29,7 @@ type FixtureSpec struct {
 // FixtureSpecs returns every fixture run, in a stable order.
 func FixtureSpecs() []FixtureSpec {
 	det := []string{RuleDeterminism}
+	detSync := []string{RuleDeterminism, RuleShardSafety}
 	return []FixtureSpec{
 		// Loaded under a sim-core import path: the fixture plays an
 		// internal/sim subpackage.
@@ -46,13 +47,14 @@ func FixtureSpecs() []FixtureSpec {
 			Rules:      det, WantClean: true},
 		// The task runner's journals are byte-compared by fixed-clock
 		// goldens, so taskrun is sim-core with two file-scoped seams:
-		// clock.go may read the wall clock and taskrun.go may import sync.
+		// clock.go may read the wall clock and taskrun.go may use sync and
+		// launch goroutines.
 		{Name: "taskrun", Dir: "taskrun",
-			ImportPath: "supersim/internal/taskrun/lintfixture", Rules: det},
-		// The file-suffix allowlists never widen the rule's package scope.
+			ImportPath: "supersim/internal/taskrun/lintfixture", Rules: detSync},
+		// The file-suffix allowlists never widen the rules' package scope.
 		{Name: "taskrun-out-of-scope", Dir: "taskrun",
 			ImportPath: "supersim/internal/lint/testdata/src/taskrun",
-			Rules:      det, WantClean: true},
+			Rules:      detSync, WantClean: true},
 		{Name: "probeguard", Dir: "probeguard",
 			ImportPath: "supersim/internal/lint/testdata/src/probeguard",
 			Rules:      []string{RuleProbeguard}},

@@ -9,16 +9,15 @@ import (
 	"strings"
 )
 
-// ShardSafety extends the determinism rule's import-level concurrency
-// confinement to the access level, and checks the ownership discipline of
-// cross-shard components.
+// ShardSafety confines shared-memory synchronization in sim-core and checks
+// the ownership discipline of cross-shard components.
 //
 // Part one: any reference to an object from sync or sync/atomic — a type, a
 // function, or a (possibly promoted) method — inside a sim-core file outside
-// the sanctioned-synchronizer allow list is flagged. The determinism rule
-// already rejects the imports; this catches uses that need no import line,
-// such as Lock/Unlock promoted through a struct embedded from another
-// package.
+// the sanctioned-synchronizer allow list is flagged. Go rejects unused
+// imports, so every import of those packages has a use reported here; uses
+// that need no import line, such as Lock/Unlock promoted through a struct
+// embedded from another package, are caught too.
 //
 // Part two: a struct with a *sim.RemotePort field is a shard-spanning
 // component. Its fields partition by goroutine: whatever its inbox methods

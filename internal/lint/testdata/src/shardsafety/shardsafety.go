@@ -122,3 +122,17 @@ var total atomic.Uint64 // want `use of sync/atomic\.Uint64 in sim-core package`
 func addTotal() {
 	total.Add(1) // want `use of sync/atomic\.Add in sim-core package`
 }
+
+// spawnCount carries the sync uses of the determinism fixture's spawns: this
+// rule reports each of them, and determinism reports only the goroutine.
+func spawnCount() {
+	var wg sync.WaitGroup // want `use of sync\.WaitGroup in sim-core package`
+	wg.Add(1)             // want `use of sync\.Add in sim-core package`
+	func() {
+		defer wg.Done()               // want `use of sync\.Done in sim-core package`
+		atomic.AddUint64(&scratch, 1) // want `use of sync/atomic\.AddUint64 in sim-core package`
+	}()
+	wg.Wait() // want `use of sync\.Wait in sim-core package`
+}
+
+var scratch uint64

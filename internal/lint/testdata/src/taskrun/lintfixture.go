@@ -1,24 +1,24 @@
 package lintfixture
 
 import (
-	"sync" // want `import of "sync"`
+	"sync"
 	"time"
 )
 
 // Outside the two allowlisted files the package is ordinary sim-core: the
-// journal bytes are golden-compared, so wall-clock reads, ad-hoc goroutines
-// and order-sensitive map iteration are all flagged here.
+// journal bytes are golden-compared, so wall-clock reads, ad-hoc goroutines,
+// sync uses and order-sensitive map iteration are all flagged here.
 
-var flagMu sync.Mutex
+var flagMu sync.Mutex // want `use of sync\.Mutex in sim-core package`
 
 func elapsed(start time.Time) time.Duration {
 	return time.Since(start) // want `wall-clock read time\.Since`
 }
 
 func spawn(fn func()) {
-	flagMu.Lock()
-	defer flagMu.Unlock()
-	go fn() // want `goroutine launched`
+	flagMu.Lock()         // want `use of sync\.Lock in sim-core package`
+	defer flagMu.Unlock() // want `use of sync\.Unlock in sim-core package`
+	go fn()               // want `goroutine launched`
 }
 
 // emit appends in map order — observable nondeterminism in journal output.

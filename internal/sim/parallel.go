@@ -343,7 +343,7 @@ func (e *Engine) Link(src, dst *Simulator, latency Tick, tgt RemoteReceiver) *Re
 
 // Run executes the simulation across all shards until it is globally
 // quiescent (no queued non-daemon events and no in-flight posts) or stopped,
-// then finalizes. It returns the total non-daemon events executed and the
+// then totals it. It returns the total non-daemon events executed and the
 // latest LastWork time across shards — the simulation's logical end. Daemon
 // events queued beyond the last real work (trailing watchdog/snapshot
 // wake-ups) are deliberately not chased: they are pure observers, and forcing
@@ -353,7 +353,7 @@ func (e *Engine) Link(src, dst *Simulator, latency Tick, tgt RemoteReceiver) *Re
 // Run is equivalent to RunUntil(^Tick(0)) followed by Finish. Checkpointing
 // drivers use the phased form directly: step to a snapshot tick with
 // RunUntil, settle cross-shard posts with DrainCross, serialize, repeat, and
-// call Finish exactly once at the true end of the run.
+// call Finish at the true end of the run.
 func (e *Engine) Run() (uint64, Time) {
 	e.RunUntil(^Tick(0))
 	return e.Finish()
@@ -420,10 +420,9 @@ func (e *Engine) SeedCommit(tick Tick) {
 	}
 }
 
-// Finish finalizes a run driven by RunUntil phases: it totals the non-daemon
-// events executed, computes the latest LastWork across shards, and flushes
-// the host's periodic reporters exactly as a serial Run would. Call it once,
-// after the last phase.
+// Finish totals a run driven by RunUntil phases: the non-daemon events
+// executed across shards and the latest LastWork — the simulation's logical
+// end. It only reads, so it may also be called between phases.
 func (e *Engine) Finish() (uint64, Time) {
 	var events uint64
 	var end Time
@@ -433,7 +432,6 @@ func (e *Engine) Finish() (uint64, Time) {
 			end = sh.sim.lastWork
 		}
 	}
-	e.host.FinishMonitor()
 	return events, end
 }
 

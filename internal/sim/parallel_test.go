@@ -235,37 +235,6 @@ func TestDeriveRandPartitionIndependent(t *testing.T) {
 	}
 }
 
-func TestRunUntilDoesNotMonitorFinish(t *testing.T) {
-	// Pins the Run/RunUntil asymmetry documented on RunUntil: a horizon is a
-	// pause, not the end of the run, so only Run (or an explicit
-	// FinishMonitor) flushes the final monitor interval.
-	s := NewSimulator(1)
-	finishes := 0
-	s.MonitorFinish = func(now Time, executed uint64) { finishes++ }
-	r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
-	for i := 0; i < 10; i++ {
-		s.Schedule(r, Time{Tick: Tick(i + 1)}, i, nil)
-	}
-	s.RunUntil(5)
-	s.RunUntil(100) // drains the queue — still not the declared end
-	if finishes != 0 {
-		t.Fatalf("RunUntil invoked MonitorFinish %d times, want 0", finishes)
-	}
-	s.FinishMonitor()
-	if finishes != 1 {
-		t.Fatalf("FinishMonitor invoked MonitorFinish %d times, want 1", finishes)
-	}
-
-	s2 := NewSimulator(1)
-	finishes2 := 0
-	s2.MonitorFinish = func(now Time, executed uint64) { finishes2++ }
-	s2.Schedule(&recorder{ComponentBase: NewComponentBase(s2, "rec")}, Time{Tick: 1}, 0, nil)
-	s2.Run()
-	if finishes2 != 1 {
-		t.Fatalf("Run invoked MonitorFinish %d times, want 1", finishes2)
-	}
-}
-
 func TestEventFreeListCapped(t *testing.T) {
 	// Recycling far more events than the cap must not grow the free list past
 	// maxEventFreeList: burst peaks are returned to the GC.

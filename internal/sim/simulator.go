@@ -67,19 +67,6 @@ type Simulator struct {
 	//sslint:nosnapshot — live only while an event executes; snapshots are taken between events
 	curOseq uint64
 
-	// Monitor, if non-nil, is invoked every MonitorInterval executed
-	// (non-daemon) events.
-	//sslint:nosnapshot — host-side progress hook, not simulation state
-	Monitor func(now Time, executed uint64)
-	//sslint:nosnapshot — host-side progress hook, not simulation state
-	MonitorInterval uint64
-
-	// MonitorFinish, if non-nil, is invoked once when Run returns (queue
-	// drained or Stop called), so periodic reporters can flush their final
-	// partial interval instead of losing it.
-	//sslint:nosnapshot — host-side progress hook, not simulation state
-	MonitorFinish func(now Time, executed uint64)
-
 	// verifier and telemetry are opaque attachment slots for the
 	// invariant-verification subsystem (internal/verify) and the metrics/
 	// tracing subsystem (internal/telemetry). They live here so components
@@ -223,7 +210,7 @@ func (s *Simulator) Pending() int { return s.queue.len() }
 
 // PendingNonDaemon returns the number of queued events that were not
 // scheduled with ScheduleDaemon — the events that represent real simulation
-// work. Periodic observers (watchdogs, telemetry snapshots) use it to decide
+// work. Periodic observers (the verify watchdog) use it to decide
 // whether to re-arm: re-arming while only daemon events remain would keep
 // the simulation alive forever, and two daemons checking Pending would keep
 // each other alive.
@@ -255,9 +242,9 @@ func (s *Simulator) Schedule(h Handler, t Time, typ int, ctx any) {
 
 // ScheduleDaemon enqueues an event that does not count as simulation work:
 // it is excluded from PendingNonDaemon and from the Executed count.
-// Observation-only periodic components (the verify watchdog, telemetry
-// snapshots) schedule with this so their self-re-arming never extends the
-// life of a drained simulation.
+// Observation-only periodic components (the verify watchdog) schedule with
+// this so their self-re-arming never extends the life of a drained
+// simulation.
 func (s *Simulator) ScheduleDaemon(h Handler, t Time, typ int, ctx any) {
 	s.schedule(h, t, typ, ctx, true)
 }
@@ -321,36 +308,15 @@ func (s *Simulator) Stopped() bool { return s.stopped }
 // Run executes events in time order until the queue runs empty or Stop is
 // called. It returns the number of non-daemon events executed by this call.
 func (s *Simulator) Run() uint64 {
-	n := s.runUntil(^Tick(0), true)
-	if s.MonitorFinish != nil {
-		s.MonitorFinish(s.now, s.executed)
-	}
-	return n
+	return s.runUntil(^Tick(0), true)
 }
 
 // RunUntil executes events whose time is strictly before the given tick, then
-// returns. The simulation can be resumed with further Run/RunUntil calls.
-// Each event goes through exactly the same execution path as Run: the
-// time-went-backwards check and the Monitor callback both apply, so a
+// returns. The simulation can be resumed with further Run/RunUntil calls;
+// each event goes through exactly the same execution path as under Run, so a
 // simulation stepped with RunUntil behaves identically to one driven by Run.
-//
-// Unlike Run, RunUntil does NOT invoke MonitorFinish: reaching the horizon
-// tick is a pause, not the end of the simulation, and a stepped run would
-// otherwise flush its "final" interval once per step. Callers that finish a
-// simulation via RunUntil (the parallel engine, test drivers) must call
-// FinishMonitor once when the whole run is over. This asymmetry is pinned by
-// TestRunUntilDoesNotMonitorFinish.
 func (s *Simulator) RunUntil(tick Tick) uint64 {
 	return s.runUntil(tick, false)
-}
-
-// FinishMonitor invokes MonitorFinish, if set. Run calls it automatically;
-// drivers that end a simulation through RunUntil call it exactly once at the
-// true end of the run.
-func (s *Simulator) FinishMonitor() {
-	if s.MonitorFinish != nil {
-		s.MonitorFinish(s.now, s.executed)
-	}
 }
 
 func (s *Simulator) runUntil(tick Tick, all bool) uint64 {
@@ -387,9 +353,6 @@ func (s *Simulator) runUntil(tick Tick, all bool) uint64 {
 		if sh := s.shard; sh != nil && !daemon {
 			//sslint:allow shardsafety — the engine's global work counter is its sanctioned shared-memory seam
 			sh.eng.work.Add(-1)
-		}
-		if !daemon && s.Monitor != nil && s.MonitorInterval > 0 && s.executed%s.MonitorInterval == 0 {
-			s.Monitor(s.now, s.executed)
 		}
 	}
 	s.running = false

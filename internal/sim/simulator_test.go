@@ -235,21 +235,6 @@ func TestSimulatorDeterminism(t *testing.T) {
 	}
 }
 
-func TestSimulatorMonitor(t *testing.T) {
-	s := NewSimulator(1)
-	var calls []uint64
-	s.MonitorInterval = 10
-	s.Monitor = func(now Time, executed uint64) { calls = append(calls, executed) }
-	r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
-	for i := 0; i < 35; i++ {
-		s.Schedule(r, Time{Tick(i + 1), 0}, i, nil)
-	}
-	s.Run()
-	if len(calls) != 3 || calls[0] != 10 || calls[2] != 30 {
-		t.Fatalf("monitor calls %v, want [10 20 30]", calls)
-	}
-}
-
 // Property: for any multiset of scheduled times, execution happens in
 // nondecreasing (tick, eps) order.
 func TestSimulatorHeapOrderProperty(t *testing.T) {

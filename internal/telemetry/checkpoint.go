@@ -128,9 +128,9 @@ func (r *Registry) LoadState(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
-// SaveState serializes the telemetry hub: scheduling identity, the baseline
-// flag for the next snapshot bin, the workload phase, the registry, and the
-// span recorder's in-flight state.
+// SaveState serializes the telemetry hub: its construction-order identity,
+// the baseline flag for the next snapshot bin, the registry, and the span
+// recorder's in-flight state.
 func (t *Telemetry) SaveState(e *snapshot.Encoder) {
 	// Under a parallel engine, flush the per-shard observation lanes first:
 	// the checkpoint barrier guarantees every recorded stamp is below the
@@ -139,10 +139,9 @@ func (t *Telemetry) SaveState(e *snapshot.Encoder) {
 	t.seal()
 	t.SaveOrder(e)
 	e.Bool(t.first)
-	t.mu.Lock()
-	phase := t.phase
-	t.mu.Unlock()
-	e.Str(phase)
+	// Schema v1 has a slot for the workload phase here; progress reads the
+	// phase from the workload, so the slot stays empty.
+	e.Str("")
 	t.reg.SaveState(e)
 	if sp := t.opts.Spans; sp != nil {
 		e.Bool(true)
@@ -158,13 +157,10 @@ func (t *Telemetry) LoadState(d *snapshot.Decoder) error {
 		return err
 	}
 	t.first = d.Bool()
-	phase := d.Str()
+	d.Str() // the workload-phase slot, unused
 	if d.Err() != nil {
 		return d.Err()
 	}
-	t.mu.Lock()
-	t.phase = phase
-	t.mu.Unlock()
 	if err := t.reg.LoadState(d); err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 )
@@ -12,7 +11,6 @@ import (
 //	/            JSON run-progress document (also at /progress)
 //	/metrics     Prometheus text exposition of the registry
 //	/shards      JSON per-shard engine state (empty array on serial runs)
-//	/debug/vars  standard expvar dump (ProgressMonitor gauges)
 //	/debug/pprof standard pprof index, profile, heap, trace, ...
 //
 // All routes are read-only and safe to scrape while the simulation runs:
@@ -41,7 +39,6 @@ func (t *Telemetry) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(docs)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -18,8 +18,7 @@ func TestHandler(t *testing.T) {
 	s := sim.NewSimulator(1)
 	tel := Attach(s, Options{})
 	tel.Registry().Counter("flits_routed", "router_0", -1, 0).Add(9)
-	tel.SetPhase("blasting")
-	tel.updateProgress(123)
+	tel.Publish(Progress{Tick: 123, Phase: "blasting"})
 
 	srv := httptest.NewServer(tel.Handler())
 	defer srv.Close()

@@ -150,7 +150,6 @@ func (p *IfaceProbe) QueueDepth(d int) { p.depth.Set(int64(d)) }
 // flit counts (snapshot rate U = flits per cycle per terminal) and the
 // end-to-end message latency distribution.
 type WorkloadProbe struct {
-	t         *Telemetry
 	offered   []*Counter
 	delivered []*Counter
 	latency   []*Histogram
@@ -169,7 +168,6 @@ func ForWorkload(s *sim.Simulator, numApps, terminals int, period sim.Tick) *Wor
 		scale = float64(period) / float64(terminals)
 	}
 	p := &WorkloadProbe{
-		t:         t,
 		offered:   make([]*Counter, numApps),
 		delivered: make([]*Counter, numApps),
 		latency:   make([]*Histogram, numApps),
@@ -195,6 +193,3 @@ func (p *WorkloadProbe) MessageDelivered(app, flits int, latency sim.Tick) {
 	p.delivered[app].Add(uint64(flits))
 	p.latency[app].Observe(uint64(latency))
 }
-
-// Phase records a workload phase transition in the progress document.
-func (p *WorkloadProbe) Phase(phase string) { p.t.SetPhase(phase) }

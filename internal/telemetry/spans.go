@@ -469,9 +469,8 @@ func (sp *Spans) emit(r *SpanRecord) {
 		return
 	}
 	sp.writeHeader()
-	if err := sp.enc.Encode(r); err != nil {
-		panic(fmt.Sprintf("telemetry: span stream write failed: %v", err))
-	}
+	// A write error is sticky in the buffered writer; Close reports it.
+	sp.enc.Encode(r)
 }
 
 func (sp *Spans) writeHeader() {
@@ -479,9 +478,8 @@ func (sp *Spans) writeHeader() {
 		return
 	}
 	sp.header = true
-	if err := sp.enc.Encode(SpanHeader{Schema: SpanSchema, Version: SpanSchemaVersion, Sample: sp.fraction}); err != nil {
-		panic(fmt.Sprintf("telemetry: span stream write failed: %v", err))
-	}
+	// As in emit, a write error is sticky and Close reports it.
+	sp.enc.Encode(SpanHeader{Schema: SpanSchema, Version: SpanSchemaVersion, Sample: sp.fraction})
 }
 
 // Close flushes and closes the spans stream. An empty stream still gets its

@@ -14,14 +14,17 @@
 //
 // Telemetry is observation-only: it never touches the simulation PRNG or any
 // component state, and trace sampling is a pure hash of message IDs, so
-// enabling any part of it cannot change simulation results. Snapshot events
-// are scheduled as daemon events (sim.ScheduleDaemon), so periodic
-// snapshotting never extends the life of a drained simulation.
+// enabling any part of it cannot change simulation results. Telemetry
+// schedules no events: the run loop (core) pauses every shard at each bin
+// boundary and calls Bin and Publish there, so every bin is an exact
+// cut of the run whatever its partition.
 package telemetry
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -29,13 +32,11 @@ import (
 	"supersim/internal/sim"
 )
 
-const evSnapshot = 0
-
 // Options configures an attached Telemetry.
 type Options struct {
-	// BinTicks is the snapshot bin width in simulated ticks. Zero disables
-	// the periodic snapshot event (metrics are still registered and
-	// scrapeable over HTTP, but the progress document only updates at Close).
+	// BinTicks is the snapshot bin width in simulated ticks, the divisor of
+	// each record's per-bin rate. The run loop takes a bin at every multiple
+	// of it.
 	BinTicks sim.Tick
 
 	// SnapshotW, when non-nil, receives the JSONL snapshot stream, one bin
@@ -51,8 +52,10 @@ type Options struct {
 	Spans *Spans
 }
 
-// Progress is the run-progress document served by the HTTP endpoint and
-// updated by snapshot bins and the workload's phase transitions.
+// Progress is the run-progress document: the run loop computes it at every
+// bin boundary and once when the run ends, /progress serves it, and
+// `supersim -monitor` prints it. Tick and Events are run-wide and exact at
+// the boundary; the rates cover the wall time since the previous update.
 type Progress struct {
 	Tick      uint64  `json:"tick"`
 	Events    uint64  `json:"events"`
@@ -63,11 +66,33 @@ type Progress struct {
 	TraceEvs  uint64  `json:"trace_events,omitempty"`
 	SpanRecs  uint64  `json:"span_records,omitempty"`
 	WallSec   float64 `json:"wall_sec"`
+	HeapBytes uint64  `json:"heap_bytes"`      // heap objects, live and not yet swept
+	LiveBytes uint64  `json:"heap_live_bytes"` // heap marked live by the last GC
+	ETASec    float64 `json:"eta_sec,omitempty"`
+}
+
+// String renders the document as one progress line; the final update (phase
+// "done") is labelled "finished".
+func (p Progress) String() string {
+	label := "progress"
+	if p.Phase == "done" {
+		label = "finished"
+	}
+	s := fmt.Sprintf("%s: tick=%d events=%d rate=%.0f/s ticks/s=%.0f heap=%.1fMiB live=%.1fMiB",
+		label, p.Tick, p.Events, p.EventsSec, p.TicksSec,
+		float64(p.HeapBytes)/(1<<20), float64(p.LiveBytes)/(1<<20))
+	if p.ETASec > 0 {
+		s += " eta=" + (time.Duration(p.ETASec * float64(time.Second))).Round(time.Second).String()
+	}
+	return s
 }
 
 // Telemetry is the per-simulation observability hub. Create one with Attach
 // before building components; components find it with For.
 type Telemetry struct {
+	// The hub schedules no events; it still takes a construction-order key,
+	// so the keys of the components built after it, which checkpoints
+	// record, stay those of snapshot schema v1.
 	sim.ComponentBase
 	opts Options
 	reg  *Registry
@@ -77,19 +102,9 @@ type Telemetry struct {
 	wc  io.Closer
 
 	first bool // next snapshot is the baseline bin
-	//sslint:nosnapshot — output lifecycle latch; a restored run opens its own writer
-	closed bool
 
-	mu        sync.Mutex
-	phase     string
-	startWall time.Time
-	//sslint:nosnapshot — wall-clock progress bookkeeping, presentation-only
-	lastWall time.Time
-	//sslint:nosnapshot — wall-clock progress bookkeeping, presentation-only
-	lastTick uint64
-	//sslint:nosnapshot — wall-clock progress bookkeeping, presentation-only
-	lastEvs uint64
-	//sslint:nosnapshot — wall-clock progress bookkeeping, presentation-only
+	mu sync.Mutex
+	//sslint:nosnapshot — presentation copy of the run loop's latest progress
 	prog Progress
 	//sslint:nosnapshot — per-shard registry wiring, re-established when shards re-attach
 	shardRegs []shardReg
@@ -106,10 +121,7 @@ func Attach(s *sim.Simulator, opts Options) *Telemetry {
 		opts:          opts,
 		reg:           newRegistry(),
 		first:         true,
-		phase:         "build",
-		startWall:     time.Now(),
 	}
-	t.lastWall = t.startWall
 	if opts.SnapshotW != nil {
 		t.bw = bufio.NewWriterSize(opts.SnapshotW, 1<<16)
 		t.enc = json.NewEncoder(t.bw)
@@ -119,9 +131,6 @@ func Attach(s *sim.Simulator, opts Options) *Telemetry {
 	}
 	if opts.Spans != nil {
 		opts.Spans.reg = t.reg
-	}
-	if opts.BinTicks > 0 {
-		s.ScheduleDaemon(t, sim.Time{Tick: opts.BinTicks}, evSnapshot, nil)
 	}
 	s.SetTelemetry(t)
 	return t
@@ -170,8 +179,8 @@ func (t *Telemetry) Partition(n int) {
 }
 
 // seal merges and drains the per-shard observation lanes in global stamp
-// order. It must only run while no shard goroutines are executing — at the
-// end of the run (Close) or at a checkpoint barrier (SaveState); the engine's
+// order. It must only run while no shard goroutines are executing — at a bin
+// or checkpoint barrier (Bin, SaveState) or at the end of the run; the engine's
 // RunUntil WaitGroup is the happens-before edge publishing the lanes.
 func (t *Telemetry) seal() {
 	if tr := t.opts.Tracer; tr != nil {
@@ -182,62 +191,36 @@ func (t *Telemetry) seal() {
 	}
 }
 
-// SetPhase records the workload phase shown in the progress document.
-func (t *Telemetry) SetPhase(phase string) {
-	t.mu.Lock()
-	t.phase = phase
-	t.mu.Unlock()
+// Bin closes the observation bin ending at tick: it seals the per-shard lanes
+// (so span histograms match a serial run's at the boundary) and appends the
+// bin to the JSONL stream. The run loop calls it with every shard paused at
+// the bin boundary.
+func (t *Telemetry) Bin(tick sim.Tick) error {
+	t.seal()
+	if t.enc == nil {
+		return nil
+	}
+	if err := t.reg.snapshot(t.enc, uint64(tick), uint64(t.opts.BinTicks), t.first); err != nil {
+		return streamErr("snapshot", err)
+	}
+	t.first = false
+	return nil
 }
 
-// ProcessEvent runs one snapshot bin and re-arms while real simulation work
-// remains queued.
-func (t *Telemetry) ProcessEvent(ev *sim.Event) {
-	if ev.Type != evSnapshot {
-		t.Panicf("unknown event type %d", ev.Type)
-	}
-	t.snapshotNow()
-	// Re-arm only while non-daemon events are pending; see verify's watchdog
-	// for why daemons must not count each other as work.
-	if t.Sim().PendingNonDaemon() > 0 {
-		t.Sim().ScheduleDaemon(t, t.Sim().Now().Plus(t.opts.BinTicks), evSnapshot, nil)
-	}
-}
-
-func (t *Telemetry) snapshotNow() {
-	now := uint64(t.Sim().Now().Tick)
-	if t.enc != nil {
-		if err := t.reg.snapshot(t.enc, now, uint64(t.opts.BinTicks), t.first); err != nil {
-			t.Panicf("snapshot write failed: %v", err)
-		}
-		t.first = false
-	}
-	t.updateProgress(now)
-}
-
-func (t *Telemetry) updateProgress(tick uint64) {
-	evs := t.Sim().Executed()
-	wall := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := Progress{
-		Tick:    tick,
-		Events:  evs,
-		Phase:   t.phase,
-		Metrics: t.reg.Len(),
-		WallSec: wall.Sub(t.startWall).Seconds(),
-	}
-	if secs := wall.Sub(t.lastWall).Seconds(); secs > 0 {
-		p.EventsSec = float64(evs-t.lastEvs) / secs
-		p.TicksSec = float64(tick-t.lastTick) / secs
-	}
+// Publish completes p with the telemetry's own counts (metrics, trace events,
+// span records), stores it as the document /progress serves, and returns it.
+func (t *Telemetry) Publish(p Progress) Progress {
+	p.Metrics = t.reg.Len()
 	if tr := t.opts.Tracer; tr != nil {
 		p.TraceEvs = tr.Events()
 	}
 	if sp := t.opts.Spans; sp != nil {
 		p.SpanRecs = sp.Records()
 	}
-	t.lastWall, t.lastTick, t.lastEvs = wall, tick, evs
+	t.mu.Lock()
 	t.prog = p
+	t.mu.Unlock()
+	return p
 }
 
 // ProgressDoc returns a copy of the latest progress document.
@@ -247,37 +230,35 @@ func (t *Telemetry) ProgressDoc() Progress {
 	return t.prog
 }
 
-// Close emits a final snapshot bin (so the tail of the run is never lost),
-// flushes and closes the snapshot stream, and closes the tracer. It is
-// idempotent; core.Run calls it after the network drains.
-func (t *Telemetry) Close() error {
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	t.SetPhase("done")
-	// Seal before the final snapshot bin so span histograms folded from the
-	// buffered lanes reach it (the serial path folds online).
-	t.seal()
-	t.snapshotNow()
-	var err error
-	if t.bw != nil {
-		err = t.bw.Flush()
+// Close takes the final bin at tick (so the tail of the run is never lost)
+// and flushes and closes every output
+// stream. The run loop calls it exactly once, even when the run fails — a
+// truncated trace of a stalled run is exactly what a diagnosis needs. The
+// error names each stream that failed.
+func (t *Telemetry) Close(tick sim.Tick) error {
+	snapErr := t.Bin(tick)
+	if t.bw != nil && snapErr == nil {
+		snapErr = streamErr("snapshot", t.bw.Flush())
 	}
 	if t.wc != nil {
-		if cerr := t.wc.Close(); err == nil {
-			err = cerr
+		if err := streamErr("snapshot", t.wc.Close()); snapErr == nil {
+			snapErr = err
 		}
 	}
+	errs := []error{snapErr}
 	if tr := t.opts.Tracer; tr != nil {
-		if cerr := tr.Close(); err == nil {
-			err = cerr
-		}
+		errs = append(errs, streamErr("trace", tr.Close()))
 	}
 	if sp := t.opts.Spans; sp != nil {
-		if cerr := sp.Close(); err == nil {
-			err = cerr
-		}
+		errs = append(errs, streamErr("spans", sp.Close()))
 	}
-	return err
+	return errors.Join(errs...)
+}
+
+// streamErr names the output stream a write error came from; nil stays nil.
+func streamErr(stream string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("telemetry: %s stream: %w", stream, err)
 }

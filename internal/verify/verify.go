@@ -215,7 +215,7 @@ func (v *Verifier) ProcessEvent(ev *sim.Event) {
 	}
 	v.lastActivity = activity
 	// Re-arm only while non-daemon events are pending: a queue holding only
-	// daemon events (this watchdog, telemetry snapshots) means the simulation
+	// daemon events (this watchdog, other observers) means the simulation
 	// is about to drain, and a perpetual watchdog would keep it alive forever
 	// — or worse, two daemons counting each other would.
 	if v.Sim().PendingNonDaemon() > 0 {

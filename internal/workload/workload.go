@@ -134,9 +134,7 @@ func New(s *sim.Simulator, cfg *config.Settings, net network.Network) *Workload 
 	for t := 0; t < net.NumTerminals(); t++ {
 		net.Interface(t).SetMessageSink(&demux{w: w})
 	}
-	if w.tp = telemetry.ForWorkload(s, len(w.apps), net.NumTerminals(), net.ChannelPeriod()); w.tp != nil {
-		w.tp.Phase(Warming.String())
-	}
+	w.tp = telemetry.ForWorkload(s, len(w.apps), net.NumTerminals(), net.ChannelPeriod())
 	w.sp = telemetry.SpansFor(s)
 	return w
 }
@@ -241,9 +239,6 @@ func (w *Workload) signal(app int, want Phase, flags []bool, advance func()) {
 	if w.pending == 0 {
 		w.pending = len(w.apps)
 		advance()
-		if w.tp != nil {
-			w.tp.Phase(w.phase.String())
-		}
 	}
 }
 

@@ -1,20 +1,23 @@
 # SuperSim build/test/benchmark entry points.
 #
 #   make ci      - everything a merge must pass: build, vet, sslint, tests
-#                  (which include the fuzz seed corpora and golden-trace
-#                  conformance runs), and the race detector over every package
+#                  under the coverage floors (make cover; they include the
+#                  fuzz seed corpora and golden-trace conformance runs), and
+#                  the race detector over every package
 #   make lint    - sslint, the simulator-aware static analysis suite
-#                  (determinism, probeguard, factoryreg, snapshotcomplete,
-#                  shardsafety; see cmd/sslint and TESTING.md). Runs the
+#                  (determinism, factoryreg, shardsafety, snapshotcomplete;
+#                  see cmd/sslint and TESTING.md). Runs the
 #                  fixture self-check first, then the repo, and writes the
 #                  findings artifact sslint.findings.json
 #   make lint-rules - list the active sslint rules with their one-line docs
-#   make cover   - per-package statement coverage against the committed floors
-#                  in coverage_floors.txt
+#   make cover   - the test suite with per-package statement coverage against
+#                  the committed floors in coverage_floors.txt; fails on a
+#                  failing test or a package below its floor
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  simulation-after-import harness, cross-worker restores,
 #                  and byte-exact snapshot round-trips
-#   make fuzz    - short live fuzzing session on the config parsers
+#   make fuzz    - short live fuzzing sessions on the config parsers and
+#                  the ssparse and manifest readers
 #   make bench   - the paper's table/figure benchmark suite with -benchmem
 #   make micro   - the standalone hot-structure micro-benchmarks
 #   make sweep-smoke - fleet-observability smoke: a tiny two-point sweep with
@@ -51,8 +54,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Simulator-aware static analysis: determinism, probe hygiene,
-# factory-registration coverage, snapshot completeness and shard safety. The
+# Simulator-aware static analysis: determinism, factory-registration
+# coverage, sync/atomic confinement and snapshot completeness. The
 # fixture self-check replays the want-comment fixture packages so a drifted
 # rule fails here, not just in `go test`; the repo run then writes its
 # findings as a JSON artifact for CI consumption. The baseline file holds
@@ -70,20 +73,31 @@ test:
 # The simulator proper is single-threaded by design, but taskrun/sweep drive
 # it from worker goroutines and nothing stops a future package from doing the
 # same — so CI races everything, not just the packages known to be concurrent.
+# It is also the shard-ownership check: the sharded golden runs and the
+# randomized sweep report any source-side touch of destination-shard state
+# as a data race.
 race:
 	$(GO) test -race ./...
 
-# Per-package statement coverage with committed floors: a drop below any
-# package's floor in coverage_floors.txt fails the target.
+# The test suite with per-package statement coverage and committed floors: a
+# failing test, or a drop below any package's floor in coverage_floors.txt,
+# fails the target. ci runs it instead of a plain `test`, so the suite runs
+# once.
 cover:
 	sh scripts/check_cover.sh coverage_floors.txt
 
-# Short live fuzzing session on the config loader and override parser. The
-# committed seed corpora under internal/config/testdata/fuzz run on every
-# plain `go test`; this target actually explores beyond them.
+# Short live fuzzing sessions on the input readers: the config loader and
+# override parser, the ssparse transaction-log, spans and task-journal
+# readers, and the run-manifest reader. The seed corpora (committed fixtures
+# and testdata/fuzz crashers) run on every plain `go test`; this target
+# actually explores beyond them.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadConfig -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzSettingsOverride -fuzztime=10s ./internal/config
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/ssparse
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadSpans$$' -fuzztime=10s ./internal/ssparse
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadTasks$$' -fuzztime=10s ./internal/ssparse
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/manifest
 
 # Checkpoint/restore equivalence: the simulation-after-import harness (all
 # golden topologies, serial and sharded), the cross-worker restore matrix,
@@ -94,7 +108,7 @@ test-import-export:
 	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
-ci: build vet lint test race test-import-export bench-guard sweep-smoke perfbench-check
+ci: build vet lint cover race test-import-export bench-guard sweep-smoke perfbench-check
 
 # Fleet-observability smoke: the sweep→journal→manifest→parse→plot→dashboard
 # pipeline end-to-end, behind the allocation guard against the unchanged

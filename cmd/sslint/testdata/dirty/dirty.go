@@ -1,12 +1,31 @@
-// Package dirty is a driver-test fixture with exactly two findings: an
-// unguarded probe call and an unused allow. It is never part of the build.
+// Package dirty is a driver-test fixture with exactly two findings: a
+// factory component implementation nothing registers, and an unused allow.
+// It is never part of the build.
 package dirty
 
-import "supersim/internal/taskrun"
+import "supersim/internal/factory"
 
-func leak(p taskrun.Probe) {
-	p.TaskReady("dirty")
+// Gadget is the fixture's component interface.
+type Gadget interface {
+	Spin() int
 }
 
-//sslint:allow probeguard — fixture: deliberately unused
+// Registry holds the fixture's gadget constructors.
+var Registry = factory.NewRegistry[func() Gadget]("gadget")
+
+// Wheel is registered below.
+type Wheel struct{}
+
+func (*Wheel) Spin() int { return 1 }
+
+func init() {
+	Registry.Register("wheel", func() Gadget { return &Wheel{} })
+}
+
+// Orphan implements Gadget, but no init() registers it.
+type Orphan struct{}
+
+func (*Orphan) Spin() int { return 0 }
+
+//sslint:allow factoryreg — fixture: deliberately unused
 func quiet() {}

@@ -392,10 +392,11 @@ func run(cfgPath string, overrides []string, o runOpts) error {
 	}
 	if !o.quiet {
 		fmt.Printf("simulation complete: %d events, %d ticks\n", res.Events, res.EndTick)
-		ps := sm.Workload.Pool().Stats()
-		if ps.Gets > 0 {
-			fmt.Printf("message pool: %d gets, %d recycled (%.1f%%), %d released\n",
-				ps.Gets, ps.Hits, 100*float64(ps.Hits)/float64(ps.Gets), ps.Releases)
+		// Only the counters a snapshot preserves: a restored run starts with
+		// an empty free list, so its recycle count differs from the
+		// uninterrupted run's while the simulation itself does not.
+		if ps := sm.Workload.Pool().Stats(); ps.Gets > 0 {
+			fmt.Printf("message pool: %d gets, %d released\n", ps.Gets, ps.Releases)
 		}
 	}
 	var logFile *os.File

@@ -239,6 +239,73 @@ func TestRunMonitorWithoutTelemetryAndAfterRestore(t *testing.T) {
 	}
 }
 
+// captureStdout runs fn with os.Stdout redirected and returns what it wrote.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	orig := os.Stdout
+	os.Stdout = w
+	runErr := fn()
+	os.Stdout = orig
+	w.Close()
+	out := <-done
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(out)
+}
+
+// TestRestoredStdoutMatchesUninterrupted requires the printed report of a
+// restored continuation to equal the uninterrupted run's, apart from the
+// lines that announce the checkpoint and the restore themselves.
+func TestRestoredStdoutMatchesUninterrupted(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "cfg.json")
+	snapPath := filepath.Join(dir, "snap.ssim")
+	if err := os.WriteFile(cfgPath, []byte(smallTorusDoc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report := func(out string) string {
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "restored ") && !strings.HasPrefix(line, "checkpoint: ") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	full := captureStdout(t, func() error {
+		return run(cfgPath, nil, runOpts{
+			telemetryBin: 1000, traceSample: 1.0,
+			checkpointEvery: 400, checkpointFile: snapPath,
+		})
+	})
+	if !strings.Contains(full, "checkpoint: tick 400,") || strings.Contains(full, "checkpoint: tick 800,") {
+		t.Fatalf("want exactly one checkpoint, at tick 400:\n%s", full)
+	}
+	if !strings.Contains(full, "message pool: ") {
+		t.Fatalf("no message pool line:\n%s", full)
+	}
+	restored := captureStdout(t, func() error {
+		return run("", nil, runOpts{telemetryBin: 1000, traceSample: 1.0, restorePath: snapPath})
+	})
+	if !strings.Contains(restored, "restored "+snapPath+": checkpoint at tick 400") {
+		t.Fatalf("restored run did not start from the tick-400 checkpoint:\n%s", restored)
+	}
+	if got, want := report(restored), report(full); got != want {
+		t.Fatalf("restored stdout differs from the uninterrupted run\nrestored:\n%s\nuninterrupted:\n%s", got, want)
+	}
+}
+
 // TestRunCheckpointAndRestore drives the full run() path with checkpointing
 // enabled, then restores the final snapshot and runs the continuation — the
 // CLI wiring for the import/export machinery proven in internal/core.

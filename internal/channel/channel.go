@@ -140,9 +140,7 @@ func (c *Channel) Inject(f *types.Flit) {
 	}
 	c.nextSlot = now.Tick + c.period
 	c.injected++
-	if c.tp != nil {
-		c.tp.FlitInjected()
-	}
+	c.tp.FlitInjected()
 	f.SendTime = now.Tick
 	at := now.Tick + c.latency
 	c.pending = append(c.pending, flitFlight{at: at, f: f})
@@ -171,9 +169,7 @@ func (c *Channel) injectRemote(f *types.Flit) {
 	}
 	c.nextSlot = now.Tick + c.period
 	c.injected++
-	if c.tp != nil {
-		c.tp.FlitInjected()
-	}
+	c.tp.FlitInjected()
 	f.SendTime = now.Tick
 	c.remote.Send(now.Tick+c.latency, f, 0)
 }
@@ -214,7 +210,7 @@ func (c *Channel) ProcessEvent(ev *sim.Event) {
 		c.scheduled = false
 	}
 	fl.f.ReceiveTime = now
-	if c.sp != nil && c.sp.Tracked(fl.f) {
+	if c.sp.Tracked(fl.f) {
 		// Channel exit is the uniform hop boundary: serialization wait plus
 		// propagation is charged to the wire, and the span moves to the next
 		// hop. This fires for injection, router-router and ejection links

@@ -178,9 +178,7 @@ func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 
 	e.Section(secVerify)
 	e.Bool(sm.Verify != nil)
-	if sm.Verify != nil {
-		sm.Verify.SaveState(e)
-	}
+	sm.Verify.SaveState(e)
 
 	e.Section(secTelemetry)
 	e.Bool(sm.Telemetry != nil)
@@ -310,10 +308,8 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 	if hasVer != (sm.Verify != nil) {
 		return nil, 0, d.Failf("snapshot verifier state %v, rebuilt simulation %v", hasVer, sm.Verify != nil)
 	}
-	if sm.Verify != nil {
-		if err := sm.Verify.LoadState(d); err != nil {
-			return nil, 0, err
-		}
+	if err := sm.Verify.LoadState(d); err != nil {
+		return nil, 0, err
 	}
 
 	if err := d.Section(secTelemetry); err != nil {

@@ -180,8 +180,6 @@ func (sm *Simulation) verifyOutcome(events uint64, end sim.Time) (Result, error)
 	for i := 0; i < sm.Net.NumTerminals(); i++ {
 		sm.Net.Interface(i).VerifyIdle()
 	}
-	if sm.Verify != nil {
-		sm.Verify.VerifyDrained()
-	}
+	sm.Verify.VerifyDrained()
 	return res, nil
 }

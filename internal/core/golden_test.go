@@ -224,17 +224,27 @@ func runGolden(t *testing.T, gc goldenCase) fingerprint {
 // returns its fingerprint. workers > 1 runs the sharded parallel engine,
 // which must produce a byte-identical fingerprint.
 func runGoldenWorkers(t *testing.T, gc goldenCase, workers int) fingerprint {
+	return runGoldenVerify(t, gc, workers, true)
+}
+
+// runGoldenVerify is runGoldenWorkers with the invariant-verification
+// subsystem switched on or off. With it off the fingerprint's flit counts,
+// which the verifier keeps, read zero.
+func runGoldenVerify(t *testing.T, gc goldenCase, workers int, verify bool) fingerprint {
 	t.Helper()
 	cfg := config.MustParse(gc.doc)
 	if workers > 1 {
 		cfg.Set("simulation.workers", uint64(workers))
 	}
+	if !verify {
+		cfg.Set("simulation.verify.enabled", false)
+	}
 	sm := Build(cfg)
 	if workers > 1 && sm.Shards == nil {
 		t.Fatalf("workers=%d did not produce a parallel partition", workers)
 	}
-	if sm.Verify == nil {
-		t.Fatal("golden runs must have verification enabled")
+	if (sm.Verify != nil) != verify {
+		t.Fatalf("verification attached = %v, want %v", sm.Verify != nil, verify)
 	}
 	res, err := sm.Run()
 	if err != nil {
@@ -351,6 +361,31 @@ func TestGoldenTracesParallel(t *testing.T) {
 					gb, _ := json.MarshalIndent(got, "", "  ")
 					t.Fatalf("parallel run (workers=%d) diverged from serial golden %s\ngot:\n%s",
 						workers, path, gb)
+				}
+			})
+		}
+	}
+}
+
+// TestGoldenTracesObservationOff runs every golden case with verification
+// off, serially and on two workers, and requires its committed fingerprint
+// apart from the flit counts only the verifier keeps. Verification observes
+// a run and must never steer it, so a verifier hook that touches simulation
+// state shows up here even after the goldens are regenerated with it.
+func TestGoldenTracesObservationOff(t *testing.T) {
+	if os.Getenv(updateEnv) != "" {
+		t.Skip("golden update runs are verified-only")
+	}
+	for _, workers := range []int{1, 2} {
+		for _, gc := range goldenCases() {
+			t.Run(fmt.Sprintf("%s_w%d", gc.name, workers), func(t *testing.T) {
+				got := runGoldenVerify(t, gc, workers, false)
+				want := loadGolden(t, gc)
+				want.FlitsInjected, want.FlitsRetired = 0, 0
+				if !reflect.DeepEqual(got, want) {
+					gb, _ := json.MarshalIndent(got, "", "  ")
+					t.Fatalf("run without verification (workers=%d) diverged from golden %s\ngot:\n%s",
+						workers, gc.name, gb)
 				}
 			})
 		}

@@ -174,17 +174,14 @@ func (r runResult) point(offered float64) LoadPoint {
 // the plot lines stop there).
 func sweepLoads(label string, loads []float64, opts Options, mkCfg func(load float64) *config.Settings) Curve {
 	c := Curve{Label: label}
+	probe := taskrun.List(opts.TaskProbe)
 	for _, load := range loads {
 		task := fmt.Sprintf("%s load=%.2f", label, load)
-		if opts.TaskProbe != nil {
-			opts.TaskProbe.TaskQueued(task, nil)
-			opts.TaskProbe.TaskReady(task)
-			opts.TaskProbe.TaskStarted(task)
-		}
+		probe.TaskQueued(task, nil)
+		probe.TaskReady(task)
+		probe.TaskStarted(task)
 		res := runBlast(opts.prep(mkCfg(load)))
-		if opts.TaskProbe != nil {
-			opts.TaskProbe.TaskFinished(task, taskrun.Succeeded, nil)
-		}
+		probe.TaskFinished(task, taskrun.Succeeded, nil)
 		p := res.point(load)
 		c.Points = append(c.Points, p)
 		opts.logf("  %-32s load=%.2f accepted=%.3f mean=%.0f p99=%.0f%s\n",

@@ -381,3 +381,17 @@ func findImport(pkg *types.Package, path string, seen map[*types.Package]bool) *
 	}
 	return nil
 }
+
+func isNilIdent(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
+}
+
+func shortPkg(path string) string {
+	for i := len(path) - 1; i >= 0; i-- {
+		if path[i] == '/' {
+			return path[i+1:]
+		}
+	}
+	return path
+}

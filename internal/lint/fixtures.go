@@ -55,9 +55,6 @@ func FixtureSpecs() []FixtureSpec {
 		{Name: "taskrun-out-of-scope", Dir: "taskrun",
 			ImportPath: "supersim/internal/lint/testdata/src/taskrun",
 			Rules:      detSync, WantClean: true},
-		{Name: "probeguard", Dir: "probeguard",
-			ImportPath: "supersim/internal/lint/testdata/src/probeguard",
-			Rules:      []string{RuleProbeguard}},
 		{Name: "factoryreg", Dir: "factoryreg",
 			ImportPath: "supersim/internal/lint/testdata/src/factoryreg",
 			Rules:      []string{RuleFactoryReg}},
@@ -65,8 +62,7 @@ func FixtureSpecs() []FixtureSpec {
 			ImportPath: "supersim/internal/lint/testdata/src/snapshotcomplete",
 			Rules:      []string{RuleSnapshotComplete}},
 		// Loaded under a sim-core import path: the fixture plays an
-		// internal/channel subpackage, the home of the real shard-spanning
-		// components.
+		// internal/channel subpackage.
 		{Name: "shardsafety", Dir: "shardsafety",
 			ImportPath: "supersim/internal/channel/lintfixture",
 			Rules:      []string{RuleShardSafety}},

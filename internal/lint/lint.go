@@ -7,29 +7,31 @@
 // budget in internal/core) catches violations after the fact; this package
 // catches them at lint time, as structural properties of the source.
 //
-// Five analyzers encode the repo's invariants:
+// Four analyzers encode the repo's invariants:
 //
 //   - determinism: sim-core packages must not read the wall clock, draw from
 //     the global math/rand source, or let map iteration order feed simulation
 //     state (Determinism).
-//   - probeguard: calls to telemetry/spans/verify probes must be dominated by
-//     a nil check of the receiver, preserving the disabled-path-is-free
-//     guarantee (Probeguard).
 //   - factoryreg: every concrete implementation of a factory-registered
 //     component interface must be registered in an init(), and registration
 //     names must be unique per registry (FactoryReg).
 //   - snapshotcomplete: the hand-written checkpoint codecs must cover every
 //     mutable field of the structs they serialize — encoded, restored, and
 //     in a consistent order (SnapshotComplete).
-//   - shardsafety: state owned by a destination shard must only be written
-//     from the owning shard's event context; source-side code goes through
-//     the RemotePort seam or a remote == nil guard (ShardSafety).
+//   - shardsafety: shared-memory synchronization (sync, sync/atomic) in
+//     sim-core stays confined to the sanctioned synchronizer files
+//     (ShardSafety).
+//
+// Two invariants are checked by the program rather than here. The probe
+// types in internal/telemetry and internal/verify are safe to call on a nil
+// receiver (each package has a test calling every exported method on nil),
+// so an unguarded probe call cannot crash an observation-disabled run. Which
+// shard owns a cross-shard component's state is checked by the race detector
+// over the sharded golden runs (`make race`).
 //
 // The engine is stdlib-only: packages are loaded with go/parser and
-// type-checked with go/types using importer.ForCompiler's source importer.
-// Since v2 a shared statement-level CFG (cfg.go) and a nil-facts
-// must-dataflow (dataflow.go) answer the dominance questions probeguard and
-// shardsafety ask; no external analysis framework is required.
+// type-checked with go/types using importer.ForCompiler's source importer;
+// no external analysis framework is required.
 //
 // # Directives
 //
@@ -60,7 +62,6 @@ import (
 // Rule names of the shipped analyzers plus the internal directive checker.
 const (
 	RuleDeterminism      = "determinism"
-	RuleProbeguard       = "probeguard"
 	RuleFactoryReg       = "factoryreg"
 	RuleSnapshotComplete = "snapshotcomplete"
 	RuleShardSafety      = "shardsafety"
@@ -74,8 +75,8 @@ const (
 
 // Rules returns the names of the selectable analyzers, sorted.
 func Rules() []string {
-	return []string{RuleDeterminism, RuleFactoryReg, RuleProbeguard,
-		RuleShardSafety, RuleSnapshotComplete}
+	return []string{RuleDeterminism, RuleFactoryReg, RuleShardSafety,
+		RuleSnapshotComplete}
 }
 
 // RuleDoc returns a one-line description of a rule, for `sslint -list-rules`
@@ -84,14 +85,12 @@ func RuleDoc(name string) string {
 	switch name {
 	case RuleDeterminism:
 		return "sim-core code must not read the wall clock, draw global randomness, iterate maps into state, or spawn ad-hoc concurrency"
-	case RuleProbeguard:
-		return "probe/ledger method calls must be dominated by a nil check of the receiver (CFG dataflow)"
 	case RuleFactoryReg:
 		return "every concrete factory component must be registered in an init() under a unique name"
 	case RuleSnapshotComplete:
 		return "checkpoint codecs must cover every mutable field symmetrically: encoded, restored, and in the same order"
 	case RuleShardSafety:
-		return "destination-shard state must only be touched by the owning shard; cross-shard writes go through the RemotePort seam"
+		return "sync and sync/atomic in sim-core stay confined to the sanctioned synchronizer files"
 	case RuleDirective:
 		return "//sslint: directives must be well-formed, justified, and in active use"
 	}
@@ -114,8 +113,6 @@ func NewAnalyzer(name string) (Analyzer, error) {
 	switch name {
 	case RuleDeterminism:
 		return NewDeterminism(), nil
-	case RuleProbeguard:
-		return NewProbeguard(), nil
 	case RuleFactoryReg:
 		return NewFactoryReg(), nil
 	case RuleSnapshotComplete:

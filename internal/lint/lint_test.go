@@ -57,16 +57,6 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-func TestProbeguardExemptPackages(t *testing.T) {
-	// Inside a probe-defining package the receivers are the probes themselves.
-	p := loadFixture(t, "probeguard", "supersim/internal/lint/testdata/src/probeguard")
-	a := NewProbeguard()
-	a.ExemptPackages = append(a.ExemptPackages, p.ImportPath)
-	if diags := a.Check(p); len(diags) != 0 {
-		t.Fatalf("probeguard fired in an exempt package: %v", diags)
-	}
-}
-
 func TestDirectiveProblems(t *testing.T) {
 	p := loadFixture(t, "directive", "supersim/internal/lint/testdata/src/directive")
 	wantSubstr := []string{
@@ -90,7 +80,7 @@ func TestDirectiveProblems(t *testing.T) {
 	}
 	// The problems surface through Runner.Run only when directive checking is
 	// on, and never from a rule-subset run.
-	if diags := (&Runner{Analyzers: []Analyzer{NewProbeguard()}}).Run([]*Package{p}); len(diags) != 0 {
+	if diags := (&Runner{Analyzers: []Analyzer{NewFactoryReg()}}).Run([]*Package{p}); len(diags) != 0 {
 		t.Errorf("rule-subset run leaked directive problems: %v", diags)
 	}
 	// The full run adds one finding beyond the parse problems: the allow the
@@ -123,7 +113,7 @@ func TestNewAnalyzer(t *testing.T) {
 	if _, err := NewAnalyzer("bogus"); err == nil {
 		t.Fatal("NewAnalyzer accepted an unknown rule")
 	}
-	if !KnownRule(RuleProbeguard) || KnownRule("bogus") || KnownRule(RuleDirective) {
+	if !KnownRule(RuleFactoryReg) || KnownRule("bogus") || KnownRule(RuleDirective) {
 		t.Fatal("KnownRule misclassifies")
 	}
 }

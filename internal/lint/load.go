@@ -29,7 +29,7 @@ type Package struct {
 
 	directives *directives
 	parents    map[ast.Node]ast.Node
-	fdecls     map[types.Object]*ast.FuncDecl // lazy; see funcDecl in dataflow.go
+	fdecls     map[types.Object]*ast.FuncDecl // lazy; see funcDeclOf
 }
 
 // TypeOf returns the type of an expression, or nil when untyped.
@@ -113,7 +113,7 @@ func (l *Loader) Load(dir, importPath string) (*Package, error) {
 }
 
 // buildParents indexes every node's syntactic parent across the package's
-// files, for the guard-domination walk and composite-literal context checks.
+// files, for the init() ancestry and composite-literal context checks.
 func (p *Package) buildParents() {
 	p.parents = make(map[ast.Node]ast.Node)
 	for _, f := range p.Files {
@@ -130,4 +130,24 @@ func (p *Package) buildParents() {
 			return true
 		})
 	}
+}
+
+// funcDeclOf returns the declaration of a package-level function or method
+// object, building the index lazily.
+func (p *Package) funcDeclOf(obj types.Object) *ast.FuncDecl {
+	if p.fdecls == nil {
+		p.fdecls = map[types.Object]*ast.FuncDecl{}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if o := p.Info.Defs[fd.Name]; o != nil {
+					p.fdecls[o] = fd
+				}
+			}
+		}
+	}
+	return p.fdecls[obj]
 }

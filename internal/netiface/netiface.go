@@ -172,9 +172,7 @@ func (n *Interface) SendMessage(m *types.Message) {
 		n.sp.Start(n.Sim(), m)
 	}
 	n.sendQ = append(n.sendQ, m.Packets...)
-	if n.tp != nil {
-		n.tp.QueueDepth(n.QueueDepth())
-	}
+	n.tp.QueueDepth(n.QueueDepth())
 	n.scheduleInject()
 }
 
@@ -248,18 +246,14 @@ func (n *Interface) injectOne() {
 			}
 		}
 		if best < 0 {
-			if n.tp != nil {
-				n.tp.Backpressure()
-			}
+			n.tp.Backpressure()
 			return // no credits on any legal VC; wait for credit arrival
 		}
 		n.injectRR++
 		n.curVC = best
 	}
 	if n.curVC < 0 || n.downCred[n.curVC] < 1 {
-		if n.tp != nil {
-			n.tp.Backpressure()
-		}
+		n.tp.Backpressure()
 		return // credit stall mid-packet
 	}
 	if !n.outCh.Available(n.Sim().Now().Tick) {
@@ -283,7 +277,7 @@ func (n *Interface) injectOne() {
 			pkt.Msg.InjectTime = now
 		}
 	}
-	if n.sp != nil && n.sp.Tracked(f) {
+	if n.sp.Tracked(f) {
 		// Creation to injection-channel entry is source queueing: the wait
 		// behind earlier packets plus credit backpressure.
 		n.sp.Step(n.Sim(), now, f, telemetry.SpanQueue)
@@ -317,9 +311,7 @@ func (n *Interface) popPacket() {
 		n.sendQ = n.sendQ[:copy(n.sendQ, n.sendQ[n.sendHead:])]
 		n.sendHead = 0
 	}
-	if n.tp != nil {
-		n.tp.QueueDepth(n.QueueDepth())
-	}
+	n.tp.QueueDepth(n.QueueDepth())
 }
 
 // ReceiveFlit ejects a flit from the network: the delivery checks run, the

@@ -247,7 +247,7 @@ func (b *base) drainFlights(dl *delayLine) {
 			return
 		}
 		fl := dl.pop()
-		if b.sp != nil && b.sp.Tracked(fl.f) {
+		if b.sp.Tracked(fl.f) {
 			// The traversal ends at output-queue or channel entry.
 			b.sp.Step(b.Sim(), now, fl.f, telemetry.SpanXbar)
 		}
@@ -310,9 +310,7 @@ func (b *base) noteArrival(port, vc int) {
 	if b.bufLed != nil {
 		b.bufLed[port].Arrive(vc)
 	}
-	if b.tp != nil {
-		b.tp.FlitBuffered(vc)
-	}
+	b.tp.FlitBuffered(vc)
 }
 
 // sendCreditUpstream releases one input buffer slot back to the sender.
@@ -324,9 +322,7 @@ func (b *base) sendCreditUpstream(port, vc int) {
 	if b.bufLed != nil {
 		b.bufLed[port].Free(vc)
 	}
-	if b.tp != nil {
-		b.tp.FlitUnbuffered(vc)
-	}
+	b.tp.FlitUnbuffered(vc)
 	cc.Inject(types.Credit{VC: vc})
 }
 
@@ -334,25 +330,19 @@ func (b *base) sendCreditUpstream(port, vc int) {
 // and the telemetry registry.
 func (b *base) noteRouted() {
 	b.flitsRouted++
-	if b.tp != nil {
-		b.tp.FlitRouted()
-	}
+	b.tp.FlitRouted()
 }
 
 // noteAlloc reports one VC-allocation round to telemetry given the pending
 // client counts before and after the round.
 func (b *base) noteAlloc(before, after int) {
-	if b.tp != nil && before > 0 {
-		b.tp.Alloc(before-after, after)
-	}
+	b.tp.Alloc(before-after, after)
 }
 
 // noteCreditStall counts one cycle in which a flit was ready but the
 // downstream credit pool was empty.
 func (b *base) noteCreditStall() {
-	if b.tp != nil {
-		b.tp.CreditStall()
-	}
+	b.tp.CreditStall()
 }
 
 // FlitsRouted returns the number of flits this router has forwarded.

@@ -214,7 +214,7 @@ func (s *inputStage) headAge(client int) sim.Tick { return s.in[client].q.peek()
 func (s *inputStage) traverse(now sim.Tick, port, client int) sim.Tick {
 	iv := &s.in[client]
 	f := iv.q.pop()
-	if s.sp != nil && s.sp.Tracked(f) {
+	if s.sp.Tracked(f) {
 		// VC grant to switch grant: crossbar arbitration plus the wait for
 		// room at the output.
 		s.sp.Step(s.Sim(), now, f, telemetry.SpanSWAlloc)

@@ -121,7 +121,7 @@ func (r *OQ) pipeline() {
 		}
 		// Transfer one flit.
 		iv.q.pop()
-		if r.sp != nil && r.sp.Tracked(f) {
+		if r.sp.Tracked(f) {
 			// Arrival to transfer start: routing (synchronous here), output
 			// VC acquisition, and the wait for output-queue space — the OQ
 			// analogue of VC allocation.

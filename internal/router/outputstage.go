@@ -82,7 +82,7 @@ func (o *outputStage) drain(port int) {
 			continue
 		}
 		f := o.outQ[qi].pop()
-		if o.sp != nil && o.sp.Tracked(f) {
+		if o.sp.Tracked(f) {
 			// Output-queue residency: the wait for downstream credits.
 			o.sp.Step(o.Sim(), now, f, telemetry.SpanOutput)
 		}

@@ -67,6 +67,9 @@ func Parse(r io.Reader) ([]stats.Sample, error) {
 			}
 			n[i-1] = v
 		}
+		if n[5] < n[4] {
+			return nil, fmt.Errorf("ssparse: line %d: received at %d before it was sent at %d", lineNo, n[5], n[4])
+		}
 		out = append(out, stats.Sample{
 			App: int(n[1]), Src: int(n[2]), Dst: int(n[3]),
 			Start: sim.Tick(n[4]), End: sim.Tick(n[5]),

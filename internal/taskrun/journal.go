@@ -18,9 +18,9 @@ const (
 
 // Probe observes the lifecycle of every task a Runner executes: the fleet-
 // level counterpart of the telemetry probes one layer down. Constructors hand
-// the runner a probe via SetProbe; a nil probe means observation is disabled
-// and every call site nil-guards (the same opaque-slot pattern sslint's
-// probeguard enforces for the telemetry and verify probes).
+// the runner a probe via SetProbe; a nil probe means observation is disabled.
+// The runner holds its probes as a ProbeList, so with none attached it ranges
+// over an empty list instead of guarding every call.
 //
 // The runner invokes all methods serially under its scheduler lock, in a
 // deterministic order when the run itself is deterministic (capacity-1 pools
@@ -53,12 +53,7 @@ type Probe interface {
 // single survivor is returned unwrapped, and no survivors yield nil — so the
 // result plugs into SetProbe without re-checking.
 func Probes(ps ...Probe) Probe {
-	var list multiProbe
-	for _, p := range ps {
-		if p != nil {
-			list = append(list, p)
-		}
-	}
+	list := List(ps...)
 	switch len(list) {
 	case 0:
 		return nil
@@ -68,61 +63,72 @@ func Probes(ps ...Probe) Probe {
 	return list
 }
 
-type multiProbe []Probe
+// ProbeList fans every event out to its probes in order. An empty list
+// observes nothing, so a holder of a ProbeList calls it unguarded.
+type ProbeList []Probe
 
-func (m multiProbe) RunStarted(capacity map[string]int, tasks int) {
-	for _, p := range m {
-		if p != nil {
-			p.RunStarted(capacity, tasks)
+// List flattens probes into a ProbeList, dropping nil entries and splicing in
+// nested lists.
+func List(ps ...Probe) ProbeList {
+	var list ProbeList
+	for _, p := range ps {
+		switch p := p.(type) {
+		case nil:
+		case ProbeList:
+			list = append(list, p...)
+		default:
+			list = append(list, p)
 		}
+	}
+	return list
+}
+
+// RunStarted implements Probe.
+func (m ProbeList) RunStarted(capacity map[string]int, tasks int) {
+	for _, p := range m {
+		p.RunStarted(capacity, tasks)
 	}
 }
 
-func (m multiProbe) TaskQueued(task string, resources map[string]int) {
+// TaskQueued implements Probe.
+func (m ProbeList) TaskQueued(task string, resources map[string]int) {
 	for _, p := range m {
-		if p != nil {
-			p.TaskQueued(task, resources)
-		}
+		p.TaskQueued(task, resources)
 	}
 }
 
-func (m multiProbe) TaskReady(task string) {
+// TaskReady implements Probe.
+func (m ProbeList) TaskReady(task string) {
 	for _, p := range m {
-		if p != nil {
-			p.TaskReady(task)
-		}
+		p.TaskReady(task)
 	}
 }
 
-func (m multiProbe) TaskBlocked(task, resource string, need, avail int) {
+// TaskBlocked implements Probe.
+func (m ProbeList) TaskBlocked(task, resource string, need, avail int) {
 	for _, p := range m {
-		if p != nil {
-			p.TaskBlocked(task, resource, need, avail)
-		}
+		p.TaskBlocked(task, resource, need, avail)
 	}
 }
 
-func (m multiProbe) TaskStarted(task string) {
+// TaskStarted implements Probe.
+func (m ProbeList) TaskStarted(task string) {
 	for _, p := range m {
-		if p != nil {
-			p.TaskStarted(task)
-		}
+		p.TaskStarted(task)
 	}
 }
 
-func (m multiProbe) TaskFinished(task string, state State, err error) {
+// TaskFinished implements Probe.
+func (m ProbeList) TaskFinished(task string, state State, err error) {
 	for _, p := range m {
-		if p != nil {
-			p.TaskFinished(task, state, err)
-		}
+		p.TaskFinished(task, state, err)
 	}
 }
 
-func (m multiProbe) RunFinished() {
+// RunFinished implements Probe.
+func (m ProbeList) RunFinished() {
 	for _, p := range m {
-		if p != nil {
-			p.RunFinished()
-		}
+		p.RunFinished()
 	}
 }
 

@@ -101,7 +101,7 @@ type Runner struct {
 	capacity map[string]int
 	tasks    []*Task
 	byName   map[string]*Task
-	probe    Probe
+	probe    ProbeList
 }
 
 // NewRunner creates a runner with the given resource capacities, e.g.
@@ -137,9 +137,9 @@ func (r *Runner) Task(name string, action func() error) *Task {
 func (r *Runner) Tasks() []*Task { return r.tasks }
 
 // SetProbe attaches a task-lifecycle probe (a Journal, the sweep monitor, or
-// several combined via Probes). nil disables observation; the runner
-// nil-guards every call. Must be set before Run.
-func (r *Runner) SetProbe(p Probe) { r.probe = p }
+// several combined via Probes). nil disables observation. Must be set before
+// Run.
+func (r *Runner) SetProbe(p Probe) { r.probe = List(p) }
 
 // sortedResources returns m's resource names in sorted order so every
 // iteration over a resource map is deterministic — journal goldens and
@@ -175,13 +175,9 @@ func (r *Runner) Run() error {
 			}
 		}
 	}
-	if r.probe != nil {
-		r.probe.RunStarted(r.capacity, len(r.tasks))
-	}
+	r.probe.RunStarted(r.capacity, len(r.tasks))
 	for _, t := range r.tasks {
-		if r.probe != nil {
-			r.probe.TaskQueued(t.name, t.resources)
-		}
+		r.probe.TaskQueued(t.name, t.resources)
 	}
 	var (
 		mu        sync.Mutex
@@ -238,9 +234,7 @@ func (r *Runner) Run() error {
 				t.state = Canceled
 				pending--
 				launched = true // state changed; rescan
-				if r.probe != nil {
-					r.probe.TaskFinished(t.name, Canceled, nil)
-				}
+				r.probe.TaskFinished(t.name, Canceled, nil)
 				continue
 			}
 			if !ready {
@@ -248,16 +242,12 @@ func (r *Runner) Run() error {
 			}
 			if !t.readyObserved {
 				t.readyObserved = true
-				if r.probe != nil {
-					r.probe.TaskReady(t.name)
-				}
+				r.probe.TaskReady(t.name)
 			}
 			if !fits(t) {
-				if r.probe != nil {
-					if res, need, avail := bottleneck(t); res != t.blockedOn {
-						t.blockedOn = res
-						r.probe.TaskBlocked(t.name, res, need, avail)
-					}
+				if res, need, avail := bottleneck(t); res != t.blockedOn {
+					t.blockedOn = res
+					r.probe.TaskBlocked(t.name, res, need, avail)
 				}
 				continue
 			}
@@ -265,9 +255,7 @@ func (r *Runner) Run() error {
 				t.state = Skipped
 				pending--
 				launched = true
-				if r.probe != nil {
-					r.probe.TaskFinished(t.name, Skipped, nil)
-				}
+				r.probe.TaskFinished(t.name, Skipped, nil)
 				continue
 			}
 			for _, res := range sortedResources(t.resources) {
@@ -277,9 +265,7 @@ func (r *Runner) Run() error {
 			t.blockedOn = ""
 			running++
 			launched = true
-			if r.probe != nil {
-				r.probe.TaskStarted(t.name)
-			}
+			r.probe.TaskStarted(t.name)
 			go func(t *Task) {
 				err := t.action()
 				mu.Lock()
@@ -289,9 +275,7 @@ func (r *Runner) Run() error {
 				} else {
 					t.state = Succeeded
 				}
-				if r.probe != nil {
-					r.probe.TaskFinished(t.name, t.state, err)
-				}
+				r.probe.TaskFinished(t.name, t.state, err)
 				for _, res := range sortedResources(t.resources) {
 					available[res] += t.resources[res]
 				}
@@ -313,9 +297,7 @@ func (r *Runner) Run() error {
 		}
 	}
 	mu.Unlock()
-	if r.probe != nil {
-		r.probe.RunFinished()
-	}
+	r.probe.RunFinished()
 
 	var errs []error
 	for _, t := range r.tasks {

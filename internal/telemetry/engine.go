@@ -88,6 +88,9 @@ func ForEngineShard(t *Telemetry, k int) *EngineProbe {
 
 // Round implements sim.ShardProbe.
 func (p *EngineProbe) Round(horizon sim.Tick, saturated bool) {
+	if p == nil {
+		return
+	}
 	p.rounds.Inc()
 	if saturated {
 		p.unbounded.Inc()
@@ -99,6 +102,9 @@ func (p *EngineProbe) Round(horizon sim.Tick, saturated bool) {
 
 // WindowCommitted implements sim.ShardProbe.
 func (p *EngineProbe) WindowCommitted(commit sim.Tick, events uint64) {
+	if p == nil {
+		return
+	}
 	p.windows.Inc()
 	p.commit.Set(int64(commit))
 	p.windowEvents.Add(events)
@@ -108,6 +114,9 @@ func (p *EngineProbe) WindowCommitted(commit sim.Tick, events uint64) {
 // InboxPost implements sim.ShardProbe. It runs on the posting shard's
 // goroutine.
 func (p *EngineProbe) InboxPost(depth int) {
+	if p == nil {
+		return
+	}
 	p.inboxPosts.Inc()
 	d := int64(depth)
 	p.inboxDepth.Set(d)
@@ -121,6 +130,9 @@ func (p *EngineProbe) InboxPost(depth int) {
 
 // InboxDrained implements sim.ShardProbe.
 func (p *EngineProbe) InboxDrained(batch int) {
+	if p == nil {
+		return
+	}
 	p.inboxDrains.Inc()
 	p.inboxBatch.Observe(uint64(batch))
 	p.inboxDepth.Set(0)
@@ -128,17 +140,26 @@ func (p *EngineProbe) InboxDrained(batch int) {
 
 // BlockedEnter implements sim.ShardProbe.
 func (p *EngineProbe) BlockedEnter() {
+	if p == nil {
+		return
+	}
 	p.stalls.Inc()
 	p.blockedSince = time.Now()
 }
 
 // BlockedExit implements sim.ShardProbe.
 func (p *EngineProbe) BlockedExit() {
+	if p == nil {
+		return
+	}
 	p.blockedNS.Add(uint64(time.Since(p.blockedSince).Nanoseconds()))
 }
 
 // QuiesceCheck implements sim.ShardProbe.
 func (p *EngineProbe) QuiesceCheck(bool) {
+	if p == nil {
+		return
+	}
 	p.quiesce.Inc()
 }
 

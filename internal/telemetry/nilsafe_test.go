@@ -1,0 +1,74 @@
+package telemetry
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestProbesNilSafe calls every exported method of each probe type on a nil
+// receiver, with zero-valued arguments, and requires an immediate return with
+// zero results. Components hold nil probes whenever telemetry is off, so a
+// missing nil check panics here rather than in an observation-disabled run.
+func TestProbesNilSafe(t *testing.T) {
+	for _, recv := range []any{
+		(*ChannelProbe)(nil),
+		(*RouterProbe)(nil),
+		(*IfaceProbe)(nil),
+		(*WorkloadProbe)(nil),
+		(*Spans)(nil),
+		(*Tracer)(nil),
+		(*EngineProbe)(nil),
+	} {
+		callAllOnNil(t, recv)
+	}
+}
+
+// callAllOnNil invokes every exported method declared on recv's type (not
+// promoted from an embedded field) with zero-valued arguments.
+func callAllOnNil(t *testing.T, recv any) {
+	t.Helper()
+	rv := reflect.ValueOf(recv)
+	rt := rv.Type()
+	promoted := map[string]bool{}
+	if st := rt.Elem(); st.Kind() == reflect.Struct {
+		for i := 0; i < st.NumField(); i++ {
+			if f := st.Field(i); f.Anonymous {
+				pt := reflect.PointerTo(f.Type)
+				for j := 0; j < pt.NumMethod(); j++ {
+					promoted[pt.Method(j).Name] = true
+				}
+			}
+		}
+	}
+	called := 0
+	for i := 0; i < rt.NumMethod(); i++ {
+		m := rt.Method(i)
+		if promoted[m.Name] {
+			continue
+		}
+		args := make([]reflect.Value, m.Type.NumIn()-1)
+		for j := range args {
+			args[j] = reflect.Zero(m.Type.In(j + 1))
+		}
+		called++
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(%v).%s on a nil receiver panicked: %v", rt, m.Name, r)
+				}
+			}()
+			call := rv.Method(i).Call
+			if m.Type.IsVariadic() {
+				call = rv.Method(i).CallSlice
+			}
+			for k, out := range call(args) {
+				if !out.IsZero() {
+					t.Errorf("(%v).%s on a nil receiver returned non-zero result %d: %v", rt, m.Name, k, out)
+				}
+			}
+		}()
+	}
+	if called == 0 {
+		t.Errorf("%v has no exported methods of its own to check", rt)
+	}
+}

@@ -10,9 +10,11 @@ import (
 // Probes are the component-facing face of the registry: each component asks
 // for its probe once at construction (ForChannel, ForRouter, ...) and keeps
 // the pointer. When telemetry is not attached the constructors return nil,
-// and every call site guards with a nil check — the same discipline as
-// internal/verify — so the disabled hot path is one predictable branch with
-// zero allocations.
+// and every exported probe method returns at once on a nil receiver — the
+// same contract as internal/verify — so a call site needs no guard of its
+// own and the disabled hot path is one predictable branch with zero
+// allocations. Call sites still guard where building an argument costs
+// something, or where the method is too large to inline.
 
 // ChannelProbe observes one flit channel.
 type ChannelProbe struct {
@@ -34,7 +36,12 @@ func ForChannel(s *sim.Simulator, name string, period sim.Tick) *ChannelProbe {
 }
 
 // FlitInjected records one flit entering the channel.
-func (p *ChannelProbe) FlitInjected() { p.flits.Inc() }
+func (p *ChannelProbe) FlitInjected() {
+	if p == nil {
+		return
+	}
+	p.flits.Inc()
+}
 
 // RouterProbe observes one router: per-VC input-buffer occupancy across all
 // ports, cycles an eligible flit stalled waiting for downstream credit,
@@ -68,18 +75,36 @@ func ForRouter(s *sim.Simulator, name string, numVCs int) *RouterProbe {
 }
 
 // FlitBuffered records a flit entering an input buffer on the given VC.
-func (p *RouterProbe) FlitBuffered(vc int) { p.occ[vc].Add(1) }
+func (p *RouterProbe) FlitBuffered(vc int) {
+	if p == nil {
+		return
+	}
+	p.occ[vc].Add(1)
+}
 
 // FlitUnbuffered records a flit leaving an input buffer on the given VC.
-func (p *RouterProbe) FlitUnbuffered(vc int) { p.occ[vc].Add(-1) }
+func (p *RouterProbe) FlitUnbuffered(vc int) {
+	if p == nil {
+		return
+	}
+	p.occ[vc].Add(-1)
+}
 
 // CreditStall records one cycle in which an otherwise-eligible flit could not
 // advance for lack of downstream credit.
-func (p *RouterProbe) CreditStall() { p.stall.Inc() }
+func (p *RouterProbe) CreditStall() {
+	if p == nil {
+		return
+	}
+	p.stall.Inc()
+}
 
 // Alloc records one VC-allocation round: granted requests and denied
 // (still-pending) requests.
 func (p *RouterProbe) Alloc(granted, denied int) {
+	if p == nil {
+		return
+	}
 	if granted > 0 {
 		p.grants.Add(uint64(granted))
 	}
@@ -89,7 +114,12 @@ func (p *RouterProbe) Alloc(granted, denied int) {
 }
 
 // FlitRouted records one flit forwarded out of the router.
-func (p *RouterProbe) FlitRouted() { p.routed.Inc() }
+func (p *RouterProbe) FlitRouted() {
+	if p == nil {
+		return
+	}
+	p.routed.Inc()
+}
 
 // IfaceProbe observes one network interface: flits sent and received,
 // injection cycles lost to backpressure (no credit on any eligible VC), and
@@ -125,8 +155,11 @@ func ForIface(s *sim.Simulator, name string, terminal int) *IfaceProbe {
 // calling component's simulator (an adopted component's shard, not the
 // construction-time host), which routes the record to the right trace lane.
 func (p *IfaceProbe) FlitSent(s *sim.Simulator, now sim.Tick, f *types.Flit) {
+	if p == nil {
+		return
+	}
 	p.sent.Inc()
-	if p.tr != nil && p.tr.Sampled(f.Pkt.Msg.ID) {
+	if p.tr.Sampled(f.Pkt.Msg.ID) {
 		p.tr.FlitSent(s, now, f, p.terminal)
 	}
 }
@@ -134,17 +167,30 @@ func (p *IfaceProbe) FlitSent(s *sim.Simulator, now sim.Tick, f *types.Flit) {
 // FlitReceived records a flit delivered at this terminal and emits the trace
 // end event for sampled messages.
 func (p *IfaceProbe) FlitReceived(s *sim.Simulator, now sim.Tick, f *types.Flit) {
+	if p == nil {
+		return
+	}
 	p.received.Inc()
-	if p.tr != nil && p.tr.Sampled(f.Pkt.Msg.ID) {
+	if p.tr.Sampled(f.Pkt.Msg.ID) {
 		p.tr.FlitReceived(s, now, f, f.Pkt.Msg.Src)
 	}
 }
 
 // Backpressure records one injection attempt blocked by credit exhaustion.
-func (p *IfaceProbe) Backpressure() { p.backpr.Inc() }
+func (p *IfaceProbe) Backpressure() {
+	if p == nil {
+		return
+	}
+	p.backpr.Inc()
+}
 
 // QueueDepth records the source queue depth after a change.
-func (p *IfaceProbe) QueueDepth(d int) { p.depth.Set(int64(d)) }
+func (p *IfaceProbe) QueueDepth(d int) {
+	if p == nil {
+		return
+	}
+	p.depth.Set(int64(d))
+}
 
 // WorkloadProbe observes one workload: per-application offered and delivered
 // flit counts (snapshot rate U = flits per cycle per terminal) and the
@@ -184,12 +230,18 @@ func ForWorkload(s *sim.Simulator, numApps, terminals int, period sim.Tick) *Wor
 // MessageOffered records a message created by application app with the given
 // flit count.
 func (p *WorkloadProbe) MessageOffered(app, flits int) {
+	if p == nil {
+		return
+	}
 	p.offered[app].Add(uint64(flits))
 }
 
 // MessageDelivered records a message delivered to application app: its flit
 // count and its end-to-end latency in ticks.
 func (p *WorkloadProbe) MessageDelivered(app, flits int, latency sim.Tick) {
+	if p == nil {
+		return
+	}
 	p.delivered[app].Add(uint64(flits))
 	p.latency[app].Observe(uint64(latency))
 }

@@ -244,6 +244,9 @@ func NewSpans(w io.Writer, fraction float64) *Spans {
 // multiplicative hash as the tracer: a pure function of the ID, so every
 // probe point agrees without coordination.
 func (sp *Spans) SampledMsg(msgID uint64) bool {
+	if sp == nil {
+		return false
+	}
 	h := msgID * 0x9E3779B97F4A7C15
 	return h>>48 < sp.threshold
 }
@@ -251,11 +254,16 @@ func (sp *Spans) SampledMsg(msgID uint64) bool {
 // Tracked reports whether f is the tracked flit of a sampled message — the
 // head flit of packet 0, the one flit whose transitions are timestamped.
 func (sp *Spans) Tracked(f *types.Flit) bool {
-	return f.Head && f.Pkt.ID == 0 && sp.SampledMsg(f.Pkt.Msg.ID)
+	return sp != nil && f.Head && f.Pkt.ID == 0 && sp.SampledMsg(f.Pkt.Msg.ID)
 }
 
 // Records returns the number of finished span records.
-func (sp *Spans) Records() uint64 { return sp.records.Load() }
+func (sp *Spans) Records() uint64 {
+	if sp == nil {
+		return 0
+	}
+	return sp.records.Load()
+}
 
 // partition switches the recorder into per-shard op buffering across n
 // shards. Called once, before the engine runs.
@@ -296,7 +304,7 @@ func (sp *Spans) seal() {
 // s is the calling component's simulator, which supplies the shard lane and
 // merge stamp under a parallel engine.
 func (sp *Spans) Start(s *sim.Simulator, m *types.Message) {
-	if !sp.SampledMsg(m.ID) {
+	if sp == nil || !sp.SampledMsg(m.ID) {
 		return
 	}
 	if sp.lanes != nil {
@@ -328,6 +336,9 @@ func (sp *Spans) applyStart(msg uint64, app, src, dst int, createT sim.Tick) {
 // check Tracked first. A SpanWire step (channel exit) advances to the next
 // hop.
 func (sp *Spans) Step(s *sim.Simulator, now sim.Tick, f *types.Flit, kind SpanKind) {
+	if sp == nil {
+		return
+	}
 	if sp.lanes != nil {
 		k := s.ShardID()
 		sp.lanes[k] = append(sp.lanes[k], spanOp{
@@ -380,6 +391,9 @@ func (sp *Spans) applyStep(msg uint64, now sim.Tick, kind SpanKind) {
 // invariant is asserted, and the record is folded and emitted. Unsampled
 // messages return immediately.
 func (sp *Spans) Finish(s *sim.Simulator, m *types.Message) {
+	if sp == nil {
+		return
+	}
 	if sp.lanes != nil {
 		if !sp.SampledMsg(m.ID) {
 			return
@@ -486,7 +500,7 @@ func (sp *Spans) writeHeader() {
 // header so readers can distinguish "no sampled messages" from truncation.
 // Messages still live (a stalled run) are dropped — their spans never closed.
 func (sp *Spans) Close() error {
-	if sp.w == nil {
+	if sp == nil || sp.w == nil {
 		return nil
 	}
 	sp.writeHeader()

@@ -7,10 +7,12 @@
 // Discovery follows the internal/verify pattern: telemetry is attached per
 // Simulator (telemetry.Attach, stored in an opaque slot) and found by
 // components at construction with the For* probe constructors, which return
-// nil when telemetry is disabled. Components guard every hook with a nil
-// check, so the disabled hot path costs one predictable branch and zero
-// allocations — BenchmarkFigure5's allocation count is unchanged, which
-// `make bench-guard` enforces.
+// nil when telemetry is disabled. Every exported method of the probe types
+// (ChannelProbe, RouterProbe, IfaceProbe, WorkloadProbe, Spans, Tracer,
+// EngineProbe) returns at once on a nil receiver, so a hook without a guard
+// cannot crash a run, and the disabled hot path costs one predictable branch
+// and zero allocations — BenchmarkFigure5's allocation count is unchanged,
+// which `make bench-guard` enforces.
 //
 // Telemetry is observation-only: it never touches the simulation PRNG or any
 // component state, and trace sampling is a pure hash of message IDs, so
@@ -154,8 +156,8 @@ func (t *Telemetry) Tracer() *Tracer { return t.opts.Tracer }
 func (t *Telemetry) Spans() *Spans { return t.opts.Spans }
 
 // SpansFor returns the simulator's span recorder, or nil when telemetry or
-// span recording is disabled. Components call it once at construction and
-// nil-guard every hook, like the For* probe constructors.
+// span recording is disabled. Components call it once at construction, like
+// the For* probe constructors; a nil recorder ignores every hook.
 func SpansFor(s *sim.Simulator) *Spans {
 	t := For(s)
 	if t == nil {
@@ -211,12 +213,8 @@ func (t *Telemetry) Bin(tick sim.Tick) error {
 // span records), stores it as the document /progress serves, and returns it.
 func (t *Telemetry) Publish(p Progress) Progress {
 	p.Metrics = t.reg.Len()
-	if tr := t.opts.Tracer; tr != nil {
-		p.TraceEvs = tr.Events()
-	}
-	if sp := t.opts.Spans; sp != nil {
-		p.SpanRecs = sp.Records()
-	}
+	p.TraceEvs = t.opts.Tracer.Events()
+	p.SpanRecs = t.opts.Spans.Records()
 	t.mu.Lock()
 	t.prog = p
 	t.mu.Unlock()
@@ -245,14 +243,9 @@ func (t *Telemetry) Close(tick sim.Tick) error {
 			snapErr = err
 		}
 	}
-	errs := []error{snapErr}
-	if tr := t.opts.Tracer; tr != nil {
-		errs = append(errs, streamErr("trace", tr.Close()))
-	}
-	if sp := t.opts.Spans; sp != nil {
-		errs = append(errs, streamErr("spans", sp.Close()))
-	}
-	return errors.Join(errs...)
+	return errors.Join(snapErr,
+		streamErr("trace", t.opts.Tracer.Close()),
+		streamErr("spans", t.opts.Spans.Close()))
 }
 
 // streamErr names the output stream a write error came from; nil stays nil.

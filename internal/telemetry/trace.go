@@ -82,12 +82,20 @@ func NewTracer(w io.Writer, fraction float64) *Tracer {
 // decision is a pure function of the ID, so both endpoints of a flit's
 // journey agree without coordination.
 func (t *Tracer) Sampled(msgID uint64) bool {
+	if t == nil {
+		return false
+	}
 	h := msgID * 0x9E3779B97F4A7C15 // Fibonacci hashing; top bits well mixed
 	return h>>48 < t.threshold
 }
 
 // Events returns the number of trace events recorded so far.
-func (t *Tracer) Events() uint64 { return t.events.Load() }
+func (t *Tracer) Events() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.events.Load()
+}
 
 // partition switches the tracer into per-shard lane recording across n
 // shards. Called once, before the engine runs.
@@ -155,12 +163,18 @@ func (t *Tracer) seal() {
 // src. Callers check Sampled first; s is the calling component's simulator,
 // which supplies the shard lane and merge stamp under a parallel engine.
 func (t *Tracer) FlitSent(s *sim.Simulator, now sim.Tick, f *types.Flit, src int) {
+	if t == nil {
+		return
+	}
 	t.record('b', s, now, f, src)
 }
 
 // FlitReceived records a sampled flit delivered at its destination. The tid
 // repeats the source terminal so begin/end pair on the same track.
 func (t *Tracer) FlitReceived(s *sim.Simulator, now sim.Tick, f *types.Flit, src int) {
+	if t == nil {
+		return
+	}
 	t.record('e', s, now, f, src)
 }
 
@@ -168,6 +182,9 @@ func (t *Tracer) FlitReceived(s *sim.Simulator, now sim.Tick, f *types.Flit, src
 // writer when it is closable. Safe to call with no events emitted. Callers
 // running under an engine seal first (Telemetry.Close does).
 func (t *Tracer) Close() error {
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.started {

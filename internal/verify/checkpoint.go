@@ -13,6 +13,9 @@ import (
 
 // SaveState serializes the verifier's mutable state.
 func (v *Verifier) SaveState(e *snapshot.Encoder) {
+	if v == nil {
+		return
+	}
 	v.SaveOrder(e)
 	e.U64(v.injected)
 	e.U64(v.retired)
@@ -40,6 +43,9 @@ func (v *Verifier) SaveState(e *snapshot.Encoder) {
 // LoadState restores the counterpart of SaveState onto a freshly attached
 // verifier whose ledgers were registered by an identical build.
 func (v *Verifier) LoadState(d *snapshot.Decoder) error {
+	if v == nil {
+		return nil
+	}
 	if err := v.LoadOrder(d); err != nil {
 		return err
 	}

@@ -18,6 +18,9 @@ type CreditLedger struct {
 // identifies the counter in diagnostics (e.g. "router_3.out2"); capacity is
 // the downstream buffer depth per VC, the initial credit count.
 func (v *Verifier) NewCreditLedger(name string, vcs, capacity int) *CreditLedger {
+	if v == nil {
+		return nil
+	}
 	if vcs <= 0 || capacity <= 0 {
 		panic("verify: credit ledger needs positive vcs and capacity")
 	}
@@ -32,6 +35,9 @@ func (v *Verifier) NewCreditLedger(name string, vcs, capacity int) *CreditLedger
 // Debit records the component consuming one credit on vc; have is the
 // component's counter value after its own decrement.
 func (cl *CreditLedger) Debit(vc, have int) {
+	if cl == nil {
+		return
+	}
 	cl.mirror[vc]--
 	if cl.mirror[vc] < 0 {
 		cl.v.Panicf("%s vc %d: credit debit below zero — downstream buffer overcommitted", cl.name, vc)
@@ -46,6 +52,9 @@ func (cl *CreditLedger) Debit(vc, have int) {
 // Credit records a credit returning on vc; have is the component's counter
 // value after its own increment.
 func (cl *CreditLedger) Credit(vc, have int) {
+	if cl == nil {
+		return
+	}
 	cl.mirror[vc]++
 	if cl.mirror[vc] > cl.cap {
 		cl.v.Panicf("%s vc %d: credits exceed capacity %d — credit duplicated", cl.name, vc, cl.cap)
@@ -71,6 +80,9 @@ type BufferLedger struct {
 // the buffer in diagnostics (e.g. "router_3.in1"); capacity is the per-VC
 // depth in flits.
 func (v *Verifier) NewBufferLedger(name string, vcs, capacity int) *BufferLedger {
+	if v == nil {
+		return nil
+	}
 	if vcs <= 0 || capacity <= 0 {
 		panic("verify: buffer ledger needs positive vcs and capacity")
 	}
@@ -81,6 +93,9 @@ func (v *Verifier) NewBufferLedger(name string, vcs, capacity int) *BufferLedger
 
 // Arrive records a flit entering the buffer on vc.
 func (bl *BufferLedger) Arrive(vc int) {
+	if bl == nil {
+		return
+	}
 	bl.occ[vc]++
 	if bl.occ[vc] > bl.cap {
 		bl.v.Panicf("%s vc %d: buffer overrun: %d flits in a %d-deep buffer — upstream sent without credit",
@@ -91,6 +106,9 @@ func (bl *BufferLedger) Arrive(vc int) {
 
 // Free records a buffer slot being released on vc (a credit sent upstream).
 func (bl *BufferLedger) Free(vc int) {
+	if bl == nil {
+		return
+	}
 	bl.occ[vc]--
 	if bl.occ[vc] < 0 {
 		bl.v.Panicf("%s vc %d: buffer freed below zero — credit sent for a flit that never arrived",

@@ -34,9 +34,12 @@
 //     progress.
 //
 // Verification is attached per Simulator (verify.Attach) and discovered by
-// components with verify.For, which returns nil when disabled; components
-// guard every hook with a nil check, so the disabled hot path costs one
-// predictable branch and zero allocations. Checks are observation-only: they
+// components with verify.For, which returns nil when disabled. Every exported
+// method of Verifier, CreditLedger and BufferLedger returns at once on a nil
+// receiver, so a missing guard cannot crash a run and the disabled hot path
+// costs one predictable branch and zero allocations. Components still guard
+// calls that do not inline, and index the per-port ledger slices only when
+// they exist. Checks are observation-only: they
 // never touch the PRNG or any component state, so enabling them cannot
 // change simulation results.
 package verify
@@ -120,20 +123,43 @@ func For(s *sim.Simulator) *Verifier {
 // its output is appended to the occupancy dump, turning "something is stuck"
 // into "this chain of resources is stuck, held by these flits". core.Build
 // wires the stall diagnostician here once the network exists.
-func (v *Verifier) SetDiagnoser(fn func() string) { v.diagnose = fn }
+func (v *Verifier) SetDiagnoser(fn func() string) {
+	if v == nil {
+		return
+	}
+	v.diagnose = fn
+}
 
 // Injected returns the number of flits injected at terminals so far.
-func (v *Verifier) Injected() uint64 { return v.injected }
+func (v *Verifier) Injected() uint64 {
+	if v == nil {
+		return 0
+	}
+	return v.injected
+}
 
 // Retired returns the number of flits retired at terminals so far.
-func (v *Verifier) Retired() uint64 { return v.retired }
+func (v *Verifier) Retired() uint64 {
+	if v == nil {
+		return 0
+	}
+	return v.retired
+}
 
 // InFlight returns the number of flits currently in the network.
-func (v *Verifier) InFlight() int { return int(v.injected - v.retired) }
+func (v *Verifier) InFlight() int {
+	if v == nil {
+		return 0
+	}
+	return int(v.injected - v.retired)
+}
 
 // FlitInjected records a flit entering the network at a terminal. Injecting
 // a flit that is already in flight panics (duplicate injection or aliasing).
 func (v *Verifier) FlitInjected(f *types.Flit) {
+	if v == nil {
+		return
+	}
 	if gen, ok := f.VerifyInFlight(); ok {
 		v.Panicf("%v injected while already in flight (generation %d, now %d) — duplicate injection or pool aliasing",
 			f, gen, f.Pkt.Msg.Generation())
@@ -148,6 +174,9 @@ func (v *Verifier) FlitInjected(f *types.Flit) {
 // generation. A generation mismatch means the owning message was recycled
 // while this flit was still traversing the network.
 func (v *Verifier) FlitTouched(f *types.Flit) {
+	if v == nil {
+		return
+	}
 	gen, ok := f.VerifyInFlight()
 	if !ok {
 		v.Panicf("%v touched but not in flight — flit forged, duplicated, or already retired", f)
@@ -162,6 +191,9 @@ func (v *Verifier) FlitTouched(f *types.Flit) {
 // FlitRetired records a flit leaving the network at its destination
 // terminal. The flit must be in flight with an unchanged generation.
 func (v *Verifier) FlitRetired(f *types.Flit) {
+	if v == nil {
+		return
+	}
 	gen, ok := f.VerifyInFlight()
 	if !ok {
 		v.Panicf("%v retired but not in flight — double retirement or lost injection record", f)
@@ -178,6 +210,9 @@ func (v *Verifier) FlitRetired(f *types.Flit) {
 // MessageObtained implements types.PoolObserver: a recycled message's flits
 // must not still be in the network under their previous life.
 func (v *Verifier) MessageObtained(m *types.Message) {
+	if v == nil {
+		return
+	}
 	v.checkNoFlitsInFlight(m, "obtained from pool")
 }
 
@@ -185,6 +220,9 @@ func (v *Verifier) MessageObtained(m *types.Message) {
 // flits are still in flight would alias its blocks between two live
 // messages.
 func (v *Verifier) MessageReleased(m *types.Message) {
+	if v == nil {
+		return
+	}
 	v.checkNoFlitsInFlight(m, "released to pool")
 }
 
@@ -201,6 +239,9 @@ func (v *Verifier) checkNoFlitsInFlight(m *types.Message, action string) {
 
 // ProcessEvent runs the progress watchdog.
 func (v *Verifier) ProcessEvent(ev *sim.Event) {
+	if v == nil {
+		return
+	}
 	if ev.Type != evWatchdog {
 		v.Panicf("unknown event type %d", ev.Type)
 	}
@@ -226,6 +267,9 @@ func (v *Verifier) ProcessEvent(ev *sim.Event) {
 // OccupancyDump renders every non-empty input buffer and every credit ledger
 // with outstanding credits — the state a deadlock diagnosis starts from.
 func (v *Verifier) OccupancyDump() string {
+	if v == nil {
+		return ""
+	}
 	var b strings.Builder
 	b.WriteString("buffer occupancy:\n")
 	for _, bl := range v.buffers {
@@ -251,6 +295,9 @@ func (v *Verifier) OccupancyDump() string {
 // every tracked buffer empty. The framework calls it from core.Run after the
 // per-component idle checks.
 func (v *Verifier) VerifyDrained() {
+	if v == nil {
+		return
+	}
 	if v.injected != v.retired {
 		v.Panicf("drain check: flit conservation violated: %d injected, %d retired (%d never retired)\n%s",
 			v.injected, v.retired, v.InFlight(), v.OccupancyDump())

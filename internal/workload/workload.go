@@ -182,9 +182,7 @@ func (w *Workload) SetPool(p *types.Pool) {
 // allocation-free.
 func (w *Workload) NewMessage(app, src, dst, totalFlits, maxPacketSize int) *types.Message {
 	w.msgID++
-	if w.tp != nil {
-		w.tp.MessageOffered(app, totalFlits)
-	}
+	w.tp.MessageOffered(app, totalFlits)
 	return w.pool.NewMessage(w.msgID, app, src, dst, totalFlits, maxPacketSize)
 }
 
@@ -255,9 +253,7 @@ func (d *demux) DeliverMessage(m *types.Message) {
 	if m.App < 0 || m.App >= len(d.w.apps) {
 		panic(fmt.Sprintf("workload: message %d from unknown application %d", m.ID, m.App))
 	}
-	if tp := d.w.tp; tp != nil {
-		tp.MessageDelivered(m.App, m.TotalFlits(), m.ReceiveTime-m.CreateTime)
-	}
+	d.w.tp.MessageDelivered(m.App, m.TotalFlits(), m.ReceiveTime-m.CreateTime)
 	if sp := d.w.sp; sp != nil {
 		// Close the span before the message's blocks return to the pool.
 		sp.Finish(d.w.Sim(), m)

@@ -1,19 +1,29 @@
 #!/bin/sh
 # check_cover.sh <floors-file>
 #
-# Runs `go test -cover ./...` and fails if any package's statement coverage
-# falls below its committed floor. Packages without a floor entry are
-# reported but do not fail the check; add a floor once the package has tests.
+# Runs `go test -cover ./...` and fails if any test fails or any package's
+# statement coverage falls below its committed floor. Packages without a floor
+# entry are reported but do not fail the check; add a floor once the package
+# has tests.
 set -eu
 
 floors=${1:-coverage_floors.txt}
 go=${GO:-go}
 
 out=$(mktemp)
-trap 'rm -f "$out"' EXIT
+rcfile=$(mktemp)
+trap 'rm -f "$out" "$rcfile"' EXIT
 
-"$go" test -cover ./... | tee "$out"
+# The pipeline's status is tee's, so go test's own exit status travels
+# through a file.
+{
+    rc=0
+    "$go" test -cover ./... 2>&1 || rc=$?
+    echo "$rc" >"$rcfile"
+} | tee "$out"
+testrc=$(cat "$rcfile")
 
+floorrc=0
 awk -v floors="$floors" '
 BEGIN {
     while ((getline line < floors) > 0) {
@@ -48,4 +58,10 @@ END {
         }
     }
     exit bad
-}' "$out"
+}' "$out" || floorrc=$?
+
+if [ "$testrc" -ne 0 ]; then
+    echo "FAIL cover: go test exited with status $testrc"
+    exit 1
+fi
+exit "$floorrc"
